@@ -5,7 +5,8 @@ a topological order of the computation graph; the reverse sweep therefore
 visits each node exactly once. Only the primitives needed by fully connected
 classifier losses are provided. Nodes whose inputs are all constants are
 evaluated eagerly and never recorded, so the same functions double as plain
-(loss-value) evaluation when no parameters are involved.
+(loss-value) evaluation when no parameters are involved. Training runs the
+closed-form gradient in :mod:`.training`; the tests use the tape as its reference.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ __all__ = [
     "softplus",
     "neg",
     "add",
-    "sub",
     "mul",
     "scale",
     "add_const",
@@ -162,19 +162,6 @@ def add(a: Var, b: Var) -> Var:
             b._accumulate(out.grad)
 
     return _node(a.value + b.value, (a, b), bwd)
-
-
-def sub(a: Var, b: Var) -> Var:
-    if a.value.shape != b.value.shape:
-        raise ValueError("sub requires matching shapes")
-
-    def bwd(out):
-        if a.requires_grad:
-            a._accumulate(out.grad)
-        if b.requires_grad:
-            b._accumulate(-out.grad)
-
-    return _node(a.value - b.value, (a, b), bwd)
 
 
 def mul(a: Var, b: Var) -> Var:

@@ -85,6 +85,15 @@ class ExperimentConfig:
             raise ValueError("methods must be a subset of {'nre', 'bnre'}")
         object.__setattr__(self, "methods", methods)
         object.__setattr__(self, "levels", tuple(float(v) for v in self.levels))
+        # invalid settings fail here, not as failed rows after datasets are written
+        for ok, message in ((self.lam >= 0.0, "lambda must be nonnegative"),
+                            (self.n_test >= 2, "n_test must be >= 2"),
+                            (self.workers >= 1, "workers must be >= 1"),
+                            (self.epochs >= 1, "epochs must be >= 1"),
+                            (self.sbc_samples == 0 or self.sbc_samples >= 100,
+                             "sbc_samples must be 0 (off) or >= 100")):
+            if not ok:
+                raise ValueError(message)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -411,7 +420,10 @@ def lambda_sweep(config: ExperimentConfig, lambdas) -> ResultsTable:
     if len(config.budgets) != 1:
         raise ValueError("lambda sweep requires a single budget")
     budget = config.budgets[0]
-    specs = [(budget, seed, float(lam)) for lam in lambdas for seed in config.seeds]
+    lambdas = [float(lam) for lam in lambdas]
+    if not all(lam >= 0.0 for lam in lambdas):
+        raise ValueError("lambda must be nonnegative")
+    specs = [(budget, seed, lam) for lam in lambdas for seed in config.seeds]
     table = ResultsTable(_execute_many(config, specs))
     _write_outputs(config, table)
     return table

@@ -2,8 +2,9 @@
 
 The network maps a feature vector (parameters concatenated with an
 observable) to a single unbounded logit; the sigmoid is applied downstream,
-and all losses are computed in logit space. Everything runs in float64 on
-one thread per training run, so identical (config, seed) pairs reproduce
+and all losses are computed in logit space; training gradients come from
+:func:`bnre.training.bnre_loss_grads`. Everything runs in float64 on one
+thread per training run, so identical (config, seed) pairs reproduce
 bitwise-identical trajectories.
 """
 
@@ -15,18 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff
-from .autodiff import Tape, Var
-
 __all__ = [
     "ClassifierNet",
     "OptimizerState",
     "DivergenceError",
-    "mlp_forward",
-    "forward_on_tape",
     "adam_step",
     "lr_schedule_update",
-    "finite_diff_check",
     "save_weights",
     "load_weights",
 ]
@@ -100,12 +95,16 @@ class ClassifierNet:
     def layer_shapes(self) -> list[tuple[int, int]]:
         return [w.shape for w in self.weights]
 
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, shapes: list[tuple[int, ...]],
+                  activation: str = "relu") -> "ClassifierNet":
+        """Network whose weights, then biases, are views into one flat buffer."""
+        sizes = [math.prod(s) for s in shapes]
+        arrays = [a.reshape(s) for a, s in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
+        return cls(arrays[:len(shapes) // 2], arrays[len(shapes) // 2:], activation)
+
     def parameters(self) -> list[np.ndarray]:
         return self.weights + self.biases
-
-    def copy(self) -> "ClassifierNet":
-        return ClassifierNet([w.copy() for w in self.weights],
-                             [b.copy() for b in self.biases], self.activation)
 
     def logits(self, x: np.ndarray) -> np.ndarray:
         """Batch forward: [n, input_dim] -> [n]."""
@@ -123,31 +122,6 @@ class ClassifierNet:
         if v.shape != (self.input_dim,):
             raise ValueError(f"expected length-{self.input_dim} input, got {v.shape}")
         return float(self.logits(v[None, :])[0])
-
-
-def forward_on_tape(x: np.ndarray, weight_vars: list[Var], bias_vars: list[Var]) -> Var:
-    """Recorded batch forward; returns the logit vector as a Var."""
-    h = autodiff.leaf(np.asarray(x, dtype=np.float64))
-    for k, (w, b) in enumerate(zip(weight_vars, bias_vars)):
-        h = autodiff.affine(h, w, b)
-        if k < len(weight_vars) - 1:
-            h = autodiff.relu(h)
-    return autodiff.ravel(h)
-
-
-def mlp_forward(net: ClassifierNet, x: np.ndarray, tape: Tape | None = None):
-    """Forward pass for a single input vector.
-
-    Without a tape this is a plain evaluation returning a float. With a tape
-    it returns ``(logit_var, param_vars)`` where ``param_vars`` lists the
-    weight and bias leaves whose ``.grad`` a subsequent backward fills.
-    """
-    if tape is None:
-        return net.logit(x)
-    params = [autodiff.leaf(p, tape=tape, requires_grad=True) for p in net.parameters()]
-    nw = len(net.weights)
-    logit = forward_on_tape(np.asarray(x, dtype=np.float64)[None, :], params[:nw], params[nw:])
-    return logit, params
 
 
 @dataclass
@@ -206,49 +180,6 @@ def lr_schedule_update(state: OptimizerState, val_loss: float) -> None:
             state.plateau_count = 0
 
 
-def finite_diff_check(net: ClassifierNet, batches: list[np.ndarray], loss_fn,
-                      eps: float = 1e-5) -> float:
-    """Max relative error between backprop and central-difference gradients.
-
-    ``loss_fn`` maps one logit Var per batch to a scalar Var built from
-    :mod:`.autodiff` primitives, so the identical loss expression drives both
-    the analytic and the numeric path. Relative error per parameter is
-    |analytic - numeric| / max(1e-12, |numeric|).
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    batches = [np.asarray(b, dtype=np.float64) for b in batches]
-
-    tape = Tape()
-    params = [autodiff.leaf(p, tape=tape, requires_grad=True) for p in net.parameters()]
-    nw = len(net.weights)
-    logit_vars = [forward_on_tape(b, params[:nw], params[nw:]) for b in batches]
-    loss = loss_fn(*logit_vars)
-    autodiff.backward(tape, loss)
-    analytic = [np.zeros_like(p.value) if p.grad is None else np.asarray(p.grad)
-                for p in params]
-
-    def loss_value() -> float:
-        zs = [autodiff.leaf(net.logits(b)) for b in batches]
-        return float(loss_fn(*zs).value)
-
-    worst = 0.0
-    for arr, grad in zip(net.parameters(), analytic):
-        flat = arr.reshape(-1)
-        gflat = grad.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            hi = loss_value()
-            flat[i] = orig - eps
-            lo = loss_value()
-            flat[i] = orig
-            numeric = (hi - lo) / (2.0 * eps)
-            err = abs(gflat[i] - numeric) / max(1e-12, abs(numeric))
-            worst = max(worst, err)
-    return worst
-
-
 def save_weights(net: ClassifierNet, path) -> None:
     doc = {
         "format": WEIGHTS_FORMAT,
@@ -276,11 +207,6 @@ def load_weights(path) -> ClassifierNet:
     if (wflat.size != sum(o * i for o, i in shapes)
             or bflat.size != sum(o for o, _ in shapes)):
         raise ValueError("weight payload does not match declared layer shapes")
-    weights, biases = [], []
-    wpos = bpos = 0
-    for out, inp in shapes:
-        weights.append(wflat[wpos:wpos + out * inp].reshape(out, inp).copy())
-        wpos += out * inp
-        biases.append(bflat[bpos:bpos + out].copy())
-        bpos += out
-    return ClassifierNet(weights, biases, doc.get("activation", "relu"))
+    return ClassifierNet.from_flat(np.concatenate([wflat, bflat]),
+                                   shapes + [(out,) for out, _ in shapes],
+                                   doc.get("activation", "relu"))

@@ -9,6 +9,11 @@ balanced variant adds lambda * (B - 1)^2 to the cross-entropy, where B is
 the sum of the mean classifier outputs on the two halves; lambda = 0
 recovers plain NRE. Losses are computed from logits via softplus, never
 from probabilities.
+
+Every training step runs the closed-form gradient :func:`bnre_loss_grads`,
+which :func:`finite_diff_check` validates against central differences of
+:func:`bnre_loss`. The reverse-mode tape (:func:`forward_on_tape`,
+:func:`bnre_loss_var`) is only an independent reference for the tests.
 """
 
 from __future__ import annotations
@@ -21,21 +26,23 @@ import numpy as np
 from scipy.special import expit
 
 from . import autodiff
-from .autodiff import Tape, Var
+from .autodiff import Var
 from .nets import (ClassifierNet, DivergenceError, OptimizerState, adam_step,
-                   forward_on_tape, lr_schedule_update)
+                   lr_schedule_update)
 from .simulators import Benchmark, Dataset
 
 __all__ = [
     "TrainConfig",
     "TrainHistory",
     "TrainingDiverged",
-    "make_batches",
     "epoch_index_pairs",
     "derangement_against",
     "bce_loss",
     "balance_statistic",
     "bnre_loss",
+    "bnre_loss_grads",
+    "finite_diff_check",
+    "forward_on_tape",
     "bnre_loss_var",
     "train",
 ]
@@ -128,14 +135,6 @@ def epoch_index_pairs(n_samples: int, batch_size: int,
     return [(p[i:i + half], q[i:i + half]) for i in range(0, n_samples, half)]
 
 
-def make_batches(dataset: Dataset, batch_size: int, rng: np.random.Generator):
-    """Yield (theta_joint, x_joint, theta_marginal, x_marginal) for one epoch."""
-    if len(dataset) < batch_size:
-        raise ValueError("dataset smaller than one batch")
-    for ji, qi in epoch_index_pairs(len(dataset), batch_size, rng):
-        yield dataset.theta[ji], dataset.x[ji], dataset.theta[ji], dataset.x[qi]
-
-
 def bce_loss(logits: np.ndarray, labels: np.ndarray) -> float:
     """Mean binary cross-entropy in softplus form."""
     logits = np.asarray(logits, dtype=np.float64)
@@ -155,8 +154,18 @@ def balance_statistic(probs_joint: np.ndarray, probs_marginal: np.ndarray) -> fl
     return float(pj.mean() + pm.mean())
 
 
+def forward_on_tape(x: np.ndarray, weight_vars: list[Var], bias_vars: list[Var]) -> Var:
+    """Recorded batch forward (test reference); returns the logit vector as a Var."""
+    h = autodiff.leaf(np.asarray(x, dtype=np.float64))
+    for k, (w, b) in enumerate(zip(weight_vars, bias_vars)):
+        h = autodiff.affine(h, w, b)
+        if k < len(weight_vars) - 1:
+            h = autodiff.relu(h)
+    return autodiff.ravel(h)
+
+
 def bnre_loss_var(logits_joint: Var, logits_marginal: Var, lam: float) -> Var:
-    """Balanced loss on the tape: BCE + lambda * (B - 1)^2, differentiable in B."""
+    """Balanced loss on the tape (test reference for :func:`bnre_loss_grads`)."""
     bce_j = autodiff.mean(autodiff.softplus(autodiff.neg(logits_joint)))
     bce_m = autodiff.mean(autodiff.softplus(logits_marginal))
     loss = autodiff.scale(autodiff.add(bce_j, bce_m), 0.5)
@@ -168,20 +177,76 @@ def bnre_loss_var(logits_joint: Var, logits_marginal: Var, lam: float) -> Var:
     return loss
 
 
+def _loss_and_balance(zj: np.ndarray, zm: np.ndarray, lam: float) -> tuple[float, float]:
+    """Balanced loss and B from logits, in the tape's order of operations."""
+    bce = (np.logaddexp(0.0, -zj).mean() + np.logaddexp(0.0, zm).mean()) * 0.5
+    b = expit(zj).mean() + expit(zm).mean()
+    return float(bce + (b - 1.0) * (b - 1.0) * lam), float(b)
+
+
 def bnre_loss(logits_joint: np.ndarray, logits_marginal: np.ndarray, lam: float) -> float:
     """Value of the balanced loss for plain arrays (labels 1 joint, 0 marginal)."""
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    zj = autodiff.leaf(np.asarray(logits_joint, dtype=np.float64))
-    zm = autodiff.leaf(np.asarray(logits_marginal, dtype=np.float64))
-    return float(bnre_loss_var(zj, zm, lam).value)
+    return _loss_and_balance(np.asarray(logits_joint, dtype=np.float64),
+                             np.asarray(logits_marginal, dtype=np.float64), lam)[0]
 
 
-def _classifier_features(benchmark: Benchmark, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    theta_sub = dataset.theta[:, list(benchmark.inference_dims)]
-    f_theta = benchmark.theta_features(theta_sub)
-    f_x = benchmark.x_features(dataset.x)
-    return np.ascontiguousarray(f_theta), np.ascontiguousarray(f_x)
+def bnre_loss_grads(net: ClassifierNet, feats_j: np.ndarray, feats_m: np.ndarray,
+                    lam: float) -> tuple[float, list[np.ndarray]]:
+    """Balanced loss and its gradient in ``net.parameters()`` order.
+
+    One forward over the stacked joint and marginal rows caches the hidden
+    activations. With s = sigmoid(z) and n rows per half, the logit gradient
+    is -expit(-z)/(2n) + 2 lambda (B - 1) s (1 - s)/n on joint rows and
+    s/(2n) + 2 lambda (B - 1) s (1 - s)/n on marginal rows; backprop through
+    the ReLU masks turns it into the parameter gradients.
+    """
+    nj, nm = len(feats_j), len(feats_m)
+    hs = [np.concatenate([feats_j, feats_m], axis=0)]
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        hs.append(np.maximum(hs[-1] @ w.T + b, 0.0))
+    z = (hs[-1] @ net.weights[-1].T + net.biases[-1]).reshape(-1)
+    loss, b = _loss_and_balance(z[:nj], z[nj:], lam)
+    s = expit(z)
+    pen = (2.0 * lam * (b - 1.0)) * s * (1.0 - s)
+    g = np.concatenate([(pen[:nj] - 0.5 * expit(-z[:nj])) / nj,
+                        (pen[nj:] + 0.5 * s[nj:]) / nm])[:, None]
+    grad_w, grad_b = [], []
+    for k in range(len(net.weights) - 1, -1, -1):
+        grad_w.append(g.T @ hs[k])
+        grad_b.append(g.sum(axis=0))
+        if k:
+            g = (g @ net.weights[k]) * (hs[k] > 0.0)
+    return loss, grad_w[::-1] + grad_b[::-1]
+
+
+def finite_diff_check(net: ClassifierNet, feats_j: np.ndarray, feats_m: np.ndarray,
+                      lam: float, eps: float = 1e-5) -> float:
+    """Max relative error of :func:`bnre_loss_grads` against central differences.
+
+    The numeric side differentiates :func:`bnre_loss` on ``net.logits``.
+    Relative error per parameter is |analytic - numeric| / max(1e-12, |numeric|).
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    _, analytic = bnre_loss_grads(net, feats_j, feats_m, lam)
+
+    def loss_value() -> float:
+        return bnre_loss(net.logits(feats_j), net.logits(feats_m), lam)
+
+    worst = 0.0
+    for arr, grad in zip(net.parameters(), analytic):
+        flat = arr.reshape(-1)
+        for i, g in enumerate(grad.reshape(-1)):
+            orig = flat[i]
+            flat[i] = orig + eps
+            hi = loss_value()
+            flat[i] = orig - eps
+            numeric = (hi - loss_value()) / (2.0 * eps)
+            flat[i] = orig
+            worst = max(worst, abs(g - numeric) / max(1e-12, abs(numeric)))
+    return worst
 
 
 def train(benchmark: Benchmark, dataset: Dataset, config: TrainConfig
@@ -198,7 +263,8 @@ def train(benchmark: Benchmark, dataset: Dataset, config: TrainConfig
     if len(dataset) < config.batch_size:
         raise ValueError("dataset smaller than one batch")
 
-    f_theta, f_x = _classifier_features(benchmark, dataset)
+    f_theta = benchmark.theta_features(dataset.theta[:, list(benchmark.inference_dims)])
+    f_x = benchmark.x_features(dataset.x)
 
     rng_split = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
     rng_init = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
@@ -214,39 +280,35 @@ def train(benchmark: Benchmark, dataset: Dataset, config: TrainConfig
     # validation splits, which model selection and the plateau schedule need
     val_margs = [derangement_against(val_idx, rng_split)
                  for _ in range(VALIDATION_PAIRINGS)]
-    val_joint_feats = np.concatenate([f_theta[val_idx], f_x[val_idx]], axis=1)
+    joint_feats = np.concatenate([f_theta, f_x], axis=1)
+    val_joint_feats = joint_feats[val_idx]
     val_marg_feats = np.concatenate(
         [np.concatenate([f_theta[val_idx], f_x[vm]], axis=1) for vm in val_margs], axis=0)
 
-    net = ClassifierNet.initialize(benchmark.classifier_input_dim(),
-                                   config.hidden_layers, config.hidden_units, rng_init)
-    params = net.parameters()
-    state = OptimizerState.for_params(params, lr=config.learning_rate)
+    init = ClassifierNet.initialize(benchmark.classifier_input_dim(),
+                                    config.hidden_layers, config.hidden_units, rng_init)
+    # net's parameters are views into flat: one Adam update moves them all
+    shapes = [p.shape for p in init.parameters()]
+    flat = np.concatenate([p.ravel() for p in init.parameters()])
+    net = ClassifierNet.from_flat(flat, shapes)
+    state = OptimizerState.for_params([flat], lr=config.learning_rate)
 
     history = TrainHistory(train_indices=train_idx.copy(), val_indices=val_idx.copy())
     best_loss = math.inf
-    best_params = [p.copy() for p in params]
+    best_flat = flat.copy()
     n_train = len(train_idx)
-    nw = len(net.weights)
 
     for _ in range(config.epochs):
         epoch_loss = 0.0
         for local_j, local_m in epoch_index_pairs(n_train, config.batch_size, rng_batch):
             ji, qi = train_idx[local_j], train_idx[local_m]
-            feats_j = np.concatenate([f_theta[ji], f_x[ji]], axis=1)
+            feats_j = joint_feats[ji]
             feats_m = np.concatenate([f_theta[ji], f_x[qi]], axis=1)
-
-            tape = Tape()
-            pvars = [autodiff.leaf(p, tape=tape, requires_grad=True) for p in params]
-            zj = forward_on_tape(feats_j, pvars[:nw], pvars[nw:])
-            zm = forward_on_tape(feats_m, pvars[:nw], pvars[nw:])
-            loss = bnre_loss_var(zj, zm, config.lam)
-            loss_value = float(loss.value)
+            loss_value, grads = bnre_loss_grads(net, feats_j, feats_m, config.lam)
             if math.isnan(loss_value):
                 raise TrainingDiverged("NaN training loss", history)
-            autodiff.backward(tape, loss)
             try:
-                adam_step(params, [v.grad for v in pvars], state)
+                adam_step([flat], [np.concatenate([g.ravel() for g in grads])], state)
             except DivergenceError as err:
                 raise TrainingDiverged(str(err), history) from err
             epoch_loss += loss_value * len(ji)
@@ -265,8 +327,7 @@ def train(benchmark: Benchmark, dataset: Dataset, config: TrainConfig
 
         if val_loss < best_loss:
             best_loss = val_loss
-            best_params = [p.copy() for p in params]
+            best_flat = flat.copy()
         lr_schedule_update(state, val_loss)
 
-    best_net = ClassifierNet(best_params[:nw], best_params[nw:], net.activation)
-    return best_net, history
+    return ClassifierNet.from_flat(best_flat, shapes), history

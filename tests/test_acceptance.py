@@ -15,11 +15,10 @@ import pytest
 
 from bnre.diagnostics import run_theorem_battery, sbc_ranks
 from bnre.harness import ExperimentConfig, lambda_sweep, run_experiment
-from bnre.nets import finite_diff_check
 from bnre.ratio import tractable_posterior_grid
 from bnre.rng import substream
 from bnre.simulators import generate_dataset, get_benchmark
-from bnre.training import bnre_loss_var
+from bnre.training import finite_diff_check
 
 from conftest import batch_away_from_kinks, random_net
 
@@ -95,9 +94,7 @@ def test_criterion_2_gradient_correctness():
         net = random_net(rng, sizes)
         xj = batch_away_from_kinks(net, rng, 8)
         xm = batch_away_from_kinks(net, rng, 8)
-        err = finite_diff_check(net, [xj, xm],
-                                lambda zj, zm: bnre_loss_var(zj, zm, 100.0),
-                                eps=1e-5)
+        err = finite_diff_check(net, xj, xm, 100.0, eps=1e-5)
         worst = max(worst, err)
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-4 and elapsed < 30.0

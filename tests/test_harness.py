@@ -188,6 +188,33 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="methods"):
             ExperimentConfig(methods=("nre", "snre"))
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_test", 1), ("lam", -1.0), ("lam", float("nan")), ("workers", 0),
+        ("epochs", 0), ("sbc_samples", 99), ("sbc_samples", -1)])
+    def test_out_of_range_fields_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field.replace("lam", "lambda")):
+            ExperimentConfig(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        ExperimentConfig(n_test=2, lam=0.0, workers=1, epochs=1, sbc_samples=100)
+        ExperimentConfig(sbc_samples=0)
+
+    def test_single_test_sample_fails_before_any_file_is_written(self, tmp_path):
+        # used to train, then record a failed row with a derangement error
+        out = tmp_path / "n_test_1"
+        with pytest.raises(ValueError, match="n_test"):
+            run_experiment(tiny_config(out, n_test=1))
+        assert not out.exists()
+
+    def test_negative_lambda_fails_before_any_file_is_written(self, tmp_path):
+        # used to write datasets/ and then record failed rows
+        out = tmp_path / "negative_lambda"
+        with pytest.raises(ValueError, match="lambda"):
+            run_experiment(tiny_config(out, lam=-1.0))
+        with pytest.raises(ValueError, match="lambda"):
+            lambda_sweep(tiny_config(out, budgets=(64,)), [1.0, -1.0])
+        assert not out.exists()
+
 
 class TestFailureHandling:
     def test_failed_run_recorded_not_raised(self, tmp_path):

@@ -4,11 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from bnre import autodiff
 from bnre.nets import (ClassifierNet, DivergenceError, OptimizerState, adam_step,
-                       finite_diff_check, load_weights, lr_schedule_update,
-                       mlp_forward, save_weights)
-from bnre.training import bnre_loss_var
+                       load_weights, lr_schedule_update, save_weights)
+from bnre.training import finite_diff_check
 
 from conftest import batch_away_from_kinks, random_net
 
@@ -41,13 +39,14 @@ class TestForward:
             ClassifierNet([np.zeros((4, 3)), np.zeros((1, 5))],
                           [np.zeros(4), np.zeros(1)])
 
-    def test_mlp_forward_with_tape_matches_plain_eval(self):
+    def test_logit_matches_hand_forward_and_batch(self):
         rng = np.random.default_rng(1)
         net = random_net(rng, [4, 8, 1])
         x = rng.standard_normal(4)
-        logit_var, params = mlp_forward(net, x, tape=autodiff.Tape())
-        assert float(logit_var.value[0]) == net.logit(x)
-        assert len(params) == 4
+        hidden = np.maximum(net.weights[0] @ x + net.biases[0], 0.0)
+        expected = float((net.weights[1] @ hidden + net.biases[1])[0])
+        assert net.logit(x) == pytest.approx(expected, rel=1e-14)
+        assert net.logits(np.stack([x, -x]))[0] == pytest.approx(expected, rel=1e-14)
 
     def test_initialize_starts_at_uninformative_classifier(self):
         net = ClassifierNet.initialize(6, 3, 32, np.random.default_rng(5))
@@ -148,41 +147,32 @@ class TestLrSchedule:
 
 
 class TestFiniteDiff:
-    def test_linear_net_squared_error_is_exact(self):
+    """The closed-form training gradient against central differences."""
+
+    def test_linear_net_bnre_gradients(self):
         rng = np.random.default_rng(0)
         net = ClassifierNet([rng.standard_normal((1, 3))], [rng.standard_normal(1)])
-        x = rng.standard_normal((8, 3))
-        target = rng.standard_normal(8)
-
-        def loss_fn(z):
-            return autodiff.mean(autodiff.square(autodiff.sub(z, autodiff.leaf(target))))
-
-        assert finite_diff_check(net, [x], loss_fn, eps=1e-5) <= 1e-7
+        xj, xm = rng.standard_normal((8, 3)), rng.standard_normal((8, 3))
+        assert finite_diff_check(net, xj, xm, 100.0, eps=1e-5) <= 1e-7
 
     def test_relu_net_away_from_kinks(self):
         rng = np.random.default_rng(1)
         net = random_net(rng, [3, 16, 16, 1])
-        x = batch_away_from_kinks(net, rng, 12)
-        target = rng.standard_normal(12)
-
-        def loss_fn(z):
-            return autodiff.mean(autodiff.square(autodiff.sub(z, autodiff.leaf(target))))
-
-        assert finite_diff_check(net, [x], loss_fn, eps=1e-5) <= 1e-4
+        xj = batch_away_from_kinks(net, rng, 12)
+        xm = batch_away_from_kinks(net, rng, 12)
+        assert finite_diff_check(net, xj, xm, 0.0, eps=1e-5) <= 1e-4
 
     def test_bnre_loss_gradients(self):
         rng = np.random.default_rng(2)
         net = random_net(rng, [4, 12, 12, 1])
         xj = batch_away_from_kinks(net, rng, 8)
         xm = batch_away_from_kinks(net, rng, 8)
-        err = finite_diff_check(net, [xj, xm],
-                                lambda zj, zm: bnre_loss_var(zj, zm, 100.0), eps=1e-5)
-        assert err <= 1e-4
+        assert finite_diff_check(net, xj, xm, 100.0, eps=1e-5) <= 1e-4
 
     def test_zero_eps_rejected(self):
         net = random_net(np.random.default_rng(0), [2, 4, 1])
         with pytest.raises(ValueError):
-            finite_diff_check(net, [np.zeros((2, 2))], lambda z: autodiff.mean(z), eps=0.0)
+            finite_diff_check(net, np.zeros((2, 2)), np.zeros((2, 2)), 100.0, eps=0.0)
 
 
 class TestWeightPersistence:

@@ -8,26 +8,29 @@ from hypothesis import strategies as st
 from bnre import autodiff
 from bnre.autodiff import Tape, backward, leaf
 from bnre.diagnostics import DiscreteToy
-from bnre.nets import OptimizerState, adam_step
+from bnre.nets import ClassifierNet, OptimizerState, adam_step
 from bnre.ratio import posterior_grid, total_variation, tractable_posterior_grid
 from bnre.rng import substream, stable_seed
 from bnre.simulators import generate_dataset, get_benchmark
 from bnre.training import (TrainConfig, TrainingDiverged, balance_statistic,
-                           bce_loss, bnre_loss, bnre_loss_var, derangement_against,
-                           epoch_index_pairs, make_batches, train)
+                           bce_loss, bnre_loss, bnre_loss_grads, bnre_loss_var,
+                           derangement_against, epoch_index_pairs, forward_on_tape,
+                           train)
+
+from conftest import random_net
 
 
 class TestBatchConstruction:
     def test_tiny_dataset_uses_every_sample_with_no_self_pairs(self):
         b = get_benchmark("tractable1d")
         ds = generate_dataset(b, 4, seed=0)
-        batches = list(make_batches(ds, 4, substream("mb", 0)))
-        joint_thetas = np.concatenate([bt[0] for bt in batches])
-        assert sorted(joint_thetas[:, 0].tolist()) == sorted(ds.theta[:, 0].tolist())
-        for theta_j, x_j, theta_m, x_m in batches:
-            for t, x in zip(theta_m, x_m):
-                i = np.flatnonzero(ds.theta[:, 0] == t[0])[0]
-                assert not np.array_equal(x, ds.x[i])
+        pairs = epoch_index_pairs(len(ds), 4, substream("mb", 0))
+        joint = np.concatenate([j for j, _ in pairs])
+        assert sorted(joint.tolist()) == list(range(4))
+        # marginal rows keep the joint row's parameter, paired with another x
+        for ji, qi in pairs:
+            for j, q in zip(ji, qi):
+                assert not np.array_equal(ds.x[q], ds.x[j])
 
     def test_epoch_joint_union_is_dataset(self):
         pairs = epoch_index_pairs(20, 8, substream("u", 1))
@@ -53,7 +56,7 @@ class TestBatchConstruction:
         b = get_benchmark("tractable1d")
         ds = generate_dataset(b, 8, seed=0)
         with pytest.raises(ValueError, match="smaller"):
-            list(make_batches(ds, 16, substream("x", 0)))
+            train(b, ds, TrainConfig(batch_size=16, epochs=1))
 
 
 @settings(max_examples=40, deadline=None)
@@ -110,19 +113,47 @@ class TestLosses:
             expected_pen, abs=1e-12)
 
     def test_penalty_gradient_vanishes_on_balanced_batch(self):
-        # symmetric logits give B = 1 exactly, so lambda cannot change gradients
+        # symmetric logits give B = 1 exactly, so lambda cannot change gradients;
+        # an identity linear net makes the logits equal to the features
         rng = substream("pgrad", 0)
         z_vals = rng.standard_normal(6)
-        grads = {}
-        for lam in (0.0, 100.0):
-            tape = Tape()
-            zj = leaf(z_vals, tape=tape, requires_grad=True)
-            zm = leaf(-z_vals, tape=tape, requires_grad=True)
-            loss = bnre_loss_var(zj, zm, lam)
-            backward(tape, loss)
-            grads[lam] = (zj.grad.copy(), zm.grad.copy())
-        np.testing.assert_allclose(grads[0.0][0], grads[100.0][0], atol=1e-15)
-        np.testing.assert_allclose(grads[0.0][1], grads[100.0][1], atol=1e-15)
+        net = ClassifierNet([np.array([[1.0]])], [np.array([0.0])])
+        grads = {lam: bnre_loss_grads(net, z_vals[:, None], -z_vals[:, None], lam)[1]
+                 for lam in (0.0, 100.0)}
+        for g0, g100 in zip(grads[0.0], grads[100.0]):
+            np.testing.assert_allclose(g0, g100, atol=1e-15)
+
+
+def _tape_loss_grads(net, feats_j, feats_m, lam):
+    """Reference: the balanced loss and its gradients from the reverse-mode tape."""
+    tape = Tape()
+    pvars = [leaf(p, tape=tape, requires_grad=True) for p in net.parameters()]
+    nw = len(net.weights)
+    loss = bnre_loss_var(forward_on_tape(feats_j, pvars[:nw], pvars[nw:]),
+                         forward_on_tape(feats_m, pvars[:nw], pvars[nw:]), lam)
+    backward(tape, loss)
+    return float(loss.value), [v.grad for v in pvars]
+
+
+class TestFusedGradient:
+    """bnre_loss_grads, which train runs, against the tape's gradients."""
+
+    @pytest.mark.parametrize("lam", [0.0, 100.0])
+    @pytest.mark.parametrize("n", [128, 5])  # a full half-batch and a short tail chunk
+    def test_matches_tape(self, lam, n):
+        for trial in range(5):
+            rng = substream("fused-vs-tape", trial, n)
+            hidden = [int(rng.integers(4, 65)) for _ in range(int(rng.integers(1, 4)))]
+            net = random_net(rng, [int(rng.integers(2, 7))] + hidden + [1])
+            feats_j = rng.uniform(-2.0, 2.0, size=(n, net.input_dim))
+            feats_m = rng.uniform(-2.0, 2.0, size=(n, net.input_dim))
+            loss, grads = bnre_loss_grads(net, feats_j, feats_m, lam)
+            ref_loss, ref_grads = _tape_loss_grads(net, feats_j, feats_m, lam)
+            assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+            assert [g.shape for g in grads] == [p.shape for p in net.parameters()]
+            for g, ref in zip(grads, ref_grads):
+                # relative to the largest entry of each parameter's gradient
+                assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestTabularOptimum:
