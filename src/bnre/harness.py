@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -252,9 +253,20 @@ def _dataset_path(out: Path, benchmark: str, budget: int, seed: int) -> Path:
 
 
 def _ensure_dataset(benchmark: Benchmark, budget: int, seed: int, out: Path) -> Dataset:
+    """The cached training dataset if its header matches the request, else a new one.
+
+    A cache file that is unreadable, truncated, or written for another
+    benchmark, budget or seed is regenerated and overwritten.
+    """
     path = _dataset_path(out, benchmark.name, budget, seed)
     if path.exists():
-        return load_dataset(path)
+        try:
+            cached = load_dataset(path)
+        except (ValueError, KeyError):
+            cached = None
+        if cached is not None and (cached.benchmark, len(cached), cached.seed) == (
+                benchmark.name, budget, seed):
+            return cached
     dataset = generate_dataset(benchmark, budget, seed, namespace="train")
     path.parent.mkdir(parents=True, exist_ok=True)
     save_dataset(dataset, path)
@@ -429,13 +441,45 @@ def lambda_sweep(config: ExperimentConfig, lambdas) -> ResultsTable:
     return table
 
 
+def _read_rows(out: Path) -> list[RunResult]:
+    """Rows an earlier experiment left in ``out`` (report.json, timing.csv)."""
+    if not (out / "report.json").exists():
+        return []
+    doc = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    wall_times = {}
+    if (out / "timing.csv").exists():
+        for line in (out / "timing.csv").read_text(encoding="utf-8").splitlines()[1:]:
+            bench, budget, seed, method, lam, wall = line.split(",")
+            wall_times[bench, int(budget), int(seed), method, float(lam)] = float(wall)
+    rows = []
+    for r in doc["rows"]:
+        key = (r["benchmark"], r["budget"], r["seed"], r["method"], r["lambda"])
+        metrics = {m: float("nan") if r[m] is None else r[m] for m in METRIC_FIELDS}
+        rows.append(RunResult(*key, **metrics, wall_time=wall_times.get(key, 0.0),
+                              status=r["status"], error=r["error"]))
+    return rows
+
+
 def _write_outputs(config: ExperimentConfig, table: ResultsTable) -> None:
+    """Merge ``table`` into the tables in the output directory, by run key.
+
+    A row replaces an earlier one with the same key and leaves the others,
+    so experiments that share an output directory keep each other's rows;
+    report.json records the latest experiment's config. Each table is
+    written to a temporary file that then replaces it.
+    """
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    table.to_csv(out / "results.csv")
-    table.aggregate_to_csv(out / "aggregate.csv")
-    table.timing_to_csv(out / "timing.csv")
-    write_report(out / "report.json", config, table)
+    merged = {r.key(): r for r in _read_rows(out)}
+    merged.update((r.key(), r) for r in table.rows)
+    table = ResultsTable(list(merged.values()))
+    for name, write in (("results.csv", table.to_csv),
+                        ("aggregate.csv", table.aggregate_to_csv),
+                        ("timing.csv", table.timing_to_csv),
+                        ("report.json", lambda path: write_report(path, config, table))):
+        tmp = out / f".{name}.tmp"
+        write(tmp)
+        os.replace(tmp, out / name)
 
 
 def _json_safe(value):

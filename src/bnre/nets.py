@@ -66,6 +66,12 @@ class ClassifierNet:
         self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
         self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
         self.activation = activation
+        # ping-pong buffers for the hidden layers of logits(), kept only while
+        # the row count stays the same: freeing them when it changes lets
+        # glibc raise its mmap/trim thresholds, which keeps the training
+        # step's 128 KiB arrays off mmap (a grow-only workspace slowed
+        # train() by about 20% through page faults)
+        self._workspace = (np.empty(0), np.empty(0))
 
     @classmethod
     def initialize(cls, input_dim: int, hidden_layers: int, hidden_units: int,
@@ -107,13 +113,26 @@ class ClassifierNet:
         return self.weights + self.biases
 
     def logits(self, x: np.ndarray) -> np.ndarray:
-        """Batch forward: [n, input_dim] -> [n]."""
+        """Batch forward: [n, input_dim] -> [n].
+
+        Hidden layers alternate between two buffers the net keeps, so a
+        grid of many rows allocates no per-layer temporaries; the returned
+        logits are a fresh array that later calls never overwrite. The
+        buffers make one net unsafe to evaluate from two threads at once.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ValueError(f"expected [n, {self.input_dim}] input, got {x.shape}")
+        n = x.shape[0]
+        size = n * max((w.shape[0] for w in self.weights[:-1]), default=0)
+        if self._workspace[0].size != size:
+            self._workspace = (np.empty(size), np.empty(size))
         h = x
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.maximum(h @ w.T + b, 0.0)
+        for k, (w, b) in enumerate(zip(self.weights[:-1], self.biases[:-1])):
+            out = self._workspace[k % 2][:n * w.shape[0]].reshape(n, w.shape[0])
+            np.matmul(h, w.T, out=out)
+            out += b
+            h = np.maximum(out, 0.0, out=out)
         return (h @ self.weights[-1].T + self.biases[-1]).reshape(-1)
 
     def logit(self, v: np.ndarray) -> float:

@@ -184,11 +184,26 @@ def grid_axes(benchmark: Benchmark, shape: tuple[int, ...] | None = None) -> tup
     return _cached_axes(tuple(box.lower), tuple(box.upper), shape)
 
 
+# read-only theta-feature blocks keyed by (benchmark class, box, grid shape):
+# everything Benchmark.theta_features reads
+_THETA_FEATURES: dict[tuple, np.ndarray] = {}
+
+
+def _grid_theta_features(benchmark: Benchmark, axes: tuple[np.ndarray, ...]) -> np.ndarray:
+    box = benchmark.inference_prior
+    key = (type(benchmark), tuple(box.lower), tuple(box.upper), tuple(len(a) for a in axes))
+    t_feats = _THETA_FEATURES.get(key)
+    if t_feats is None:
+        mesh = np.meshgrid(*axes, indexing="ij")
+        t_feats = benchmark.theta_features(np.stack([m.reshape(-1) for m in mesh], axis=1))
+        t_feats.flags.writeable = False
+        _THETA_FEATURES[key] = t_feats
+    return t_feats
+
+
 def _grid_features(benchmark: Benchmark, axes: tuple[np.ndarray, ...],
                    x: np.ndarray) -> np.ndarray:
-    mesh = np.meshgrid(*axes, indexing="ij")
-    theta_flat = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    t_feats = benchmark.theta_features(theta_flat)
+    t_feats = _grid_theta_features(benchmark, axes)
     x_feat = benchmark.x_features(np.asarray(x, dtype=np.float64))
     x_tiled = np.broadcast_to(x_feat, (t_feats.shape[0], x_feat.size))
     return np.concatenate([t_feats, x_tiled], axis=1)

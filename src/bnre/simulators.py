@@ -39,8 +39,10 @@ Benchmarks
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -545,7 +547,11 @@ def tractable_posterior(x: np.ndarray, grid: np.ndarray,
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    """Binary container: magic, version, length-prefixed JSON header, f64 rows."""
+    """Binary container: magic, version, length-prefixed JSON header, f64 rows.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces ``path``, so a crash never leaves a truncated file behind.
+    """
     header = {
         "benchmark": dataset.benchmark,
         "theta_dim": int(dataset.theta.shape[1]),
@@ -556,12 +562,18 @@ def save_dataset(dataset: Dataset, path) -> None:
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     payload = np.hstack([dataset.theta, dataset.x]).astype("<f8").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(DATASET_MAGIC)
-        fh.write(struct.pack("<I", DATASET_VERSION))
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(payload)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(DATASET_MAGIC)
+            fh.write(struct.pack("<I", DATASET_VERSION))
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            fh.write(payload)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_dataset(path) -> Dataset:

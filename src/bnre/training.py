@@ -205,7 +205,9 @@ def bnre_loss_grads(net: ClassifierNet, feats_j: np.ndarray, feats_m: np.ndarray
     nj, nm = len(feats_j), len(feats_m)
     hs = [np.concatenate([feats_j, feats_m], axis=0)]
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        hs.append(np.maximum(hs[-1] @ w.T + b, 0.0))
+        h = hs[-1] @ w.T
+        h += b
+        hs.append(np.maximum(h, 0.0, out=h))
     z = (hs[-1] @ net.weights[-1].T + net.biases[-1]).reshape(-1)
     loss, b = _loss_and_balance(z[:nj], z[nj:], lam)
     s = expit(z)

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from bnre.harness import (ExperimentConfig, ResultsTable, RunResult, lambda_sweep,
-                          run_experiment)
-from bnre.simulators import generate_dataset, get_benchmark
+from bnre.harness import (ExperimentConfig, ResultsTable, RunResult, _ensure_dataset,
+                          lambda_sweep, run_experiment)
+from bnre.simulators import generate_dataset, get_benchmark, load_dataset, save_dataset
 
 
 def tiny_config(out_dir, **overrides):
@@ -101,6 +101,75 @@ class TestRunExperiment:
         before = path.stat().st_mtime_ns
         run_experiment(tiny_config(config.output_dir))
         assert path.stat().st_mtime_ns == before
+
+
+TABLES = ("results.csv", "aggregate.csv", "timing.csv", "report.json")
+
+
+class TestSharedOutputDir:
+    def _config(self, out, method):
+        return tiny_config(out, budgets=(512,), seeds=(0,), methods=(method,), epochs=2)
+
+    def test_second_experiment_keeps_first_experiments_rows(self, tmp_path):
+        # the tables used to hold only the last experiment's rows
+        bnre = run_experiment(self._config(tmp_path, "bnre"))
+        nre = run_experiment(self._config(tmp_path, "nre"))
+        assert [r.method for r in bnre.rows] == ["bnre"]
+        assert [r.method for r in nre.rows] == ["nre"]
+        for name in ("results.csv", "timing.csv"):
+            methods = [line.split(",")[3]
+                       for line in (tmp_path / name).read_text().splitlines()[1:]]
+            assert methods == ["bnre", "nre"], name
+        aggregate = (tmp_path / "aggregate.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[2] for line in aggregate] == ["bnre", "nre"]
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert [r["method"] for r in report["rows"]] == ["bnre", "nre"]
+        assert [a["method"] for a in report["aggregates"]] == ["bnre", "nre"]
+        ok = {r.method: r for r in bnre.rows + nre.rows}
+        for row in report["rows"]:
+            assert row["coverage_auc"] == ok[row["method"]].coverage_auc
+
+    def test_rerun_replaces_its_rows_byte_identically(self, tmp_path):
+        run_experiment(self._config(tmp_path, "bnre"))
+        run_experiment(self._config(tmp_path, "nre"))
+        before = {name: (tmp_path / name).read_bytes() for name in TABLES}
+        run_experiment(self._config(tmp_path, "nre"))
+        for name in ("results.csv", "aggregate.csv", "report.json"):
+            assert (tmp_path / name).read_bytes() == before[name], name
+        timing = (tmp_path / "timing.csv").read_text().splitlines()
+        assert len(timing) == 3
+        assert not list(tmp_path.glob(".*.tmp"))
+
+
+class TestDatasetCache:
+    def _request(self, tmp_path):
+        benchmark = get_benchmark("tractable1d")
+        return benchmark, tmp_path / "datasets" / "tractable1d_b64_s0.bnre"
+
+    def test_truncated_cache_file_is_regenerated(self, tmp_path):
+        benchmark, path = self._request(tmp_path)
+        fresh = _ensure_dataset(benchmark, 64, 0, tmp_path)
+        path.write_bytes(path.read_bytes()[:-8])
+        reloaded = _ensure_dataset(benchmark, 64, 0, tmp_path)
+        assert np.array_equal(reloaded.theta, fresh.theta)
+        assert np.array_equal(load_dataset(path).x, fresh.x)
+
+    def test_cache_file_for_another_seed_is_regenerated(self, tmp_path):
+        benchmark, path = self._request(tmp_path)
+        path.parent.mkdir(parents=True)
+        save_dataset(generate_dataset(benchmark, 64, seed=1), path)
+        dataset = _ensure_dataset(benchmark, 64, 0, tmp_path)
+        expected = generate_dataset(benchmark, 64, seed=0)
+        assert dataset.seed == 0
+        assert np.array_equal(dataset.theta, expected.theta)
+        assert load_dataset(path).seed == 0
+
+    def test_cache_file_for_another_budget_is_regenerated(self, tmp_path):
+        benchmark, path = self._request(tmp_path)
+        path.parent.mkdir(parents=True)
+        save_dataset(generate_dataset(benchmark, 32, seed=0), path)
+        assert len(_ensure_dataset(benchmark, 64, 0, tmp_path)) == 64
+        assert len(load_dataset(path)) == 64
 
 
 class TestHeldOutDisjointness:

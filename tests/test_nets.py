@@ -54,6 +54,45 @@ class TestForward:
         assert np.all(net.logits(x) == 0.0)
 
 
+def naive_logits(net, x):
+    """Forward with a fresh array per operation, as a reference for the workspace."""
+    h = x
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        h = np.maximum(h @ w.T + b, 0.0)
+    return (h @ net.weights[-1].T + net.biases[-1]).reshape(-1)
+
+
+class TestForwardWorkspace:
+    def test_bitwise_equal_to_naive_forward_over_interleaved_row_counts(self):
+        rng = np.random.default_rng(7)
+        net = random_net(rng, [7, 64, 32, 64, 1])  # unequal widths share the buffers
+        for n in (16384, 1024, 3, 16384):
+            x = rng.uniform(-1.0, 1.0, size=(n, 7))
+            assert np.array_equal(net.logits(x), naive_logits(net, x))
+
+    def test_returned_logits_and_input_survive_later_calls(self):
+        rng = np.random.default_rng(8)
+        net = random_net(rng, [4, 16, 16, 1])
+        x = rng.standard_normal((50, 4))
+        x_kept = x.copy()
+        first = net.logits(x)
+        kept = first.copy()
+        net.logits(rng.standard_normal((50, 4)))
+        net.logits(rng.standard_normal((200, 4)))
+        assert np.array_equal(first, kept)
+        assert np.array_equal(x, x_kept)
+
+    def test_buffers_are_reused_while_the_row_count_stays_the_same(self):
+        rng = np.random.default_rng(10)
+        net = random_net(rng, [3, 8, 8, 1])
+        net.logits(rng.standard_normal((30, 3)))
+        kept = net._workspace
+        net.logits(rng.standard_normal((30, 3)))
+        assert all(a is b for a, b in zip(net._workspace, kept))
+        net.logits(rng.standard_normal((20, 3)))
+        assert net._workspace[0].size == 20 * 8
+
+
 class TestAdam:
     def _net_and_state(self, seed=0):
         net = random_net(np.random.default_rng(seed), [3, 8, 1])

@@ -7,11 +7,11 @@ from scipy.stats import norm
 
 from bnre.diagnostics import hpd_threshold
 from bnre.nets import ClassifierNet
-from bnre.ratio import (DegenerateGridError, classifier_prob, log_posterior_at,
-                        log_ratio, posterior_grid, total_variation,
-                        tractable_posterior_grid)
+from bnre.ratio import (DegenerateGridError, _grid_theta_features, classifier_prob,
+                        grid_axes, log_posterior_at, log_ratio, posterior_grid,
+                        total_variation, tractable_posterior_grid)
 from bnre.rng import substream
-from bnre.simulators import get_benchmark
+from bnre.simulators import generate_dataset, get_benchmark
 
 from conftest import random_net
 
@@ -177,6 +177,46 @@ class TestPosteriorGrid:
         assert doc["grid_spec"]["lower"] == [-5.0]
         assert doc["grid_spec"]["upper"] == [5.0]
         assert len(doc["densities"]) == 1024
+
+
+def naive_posterior_densities(net, benchmark, x):
+    """Grid densities from fresh features and a forward with fresh arrays per op."""
+    axes = grid_axes(benchmark)
+    mesh = np.meshgrid(*axes, indexing="ij")
+    t_feats = benchmark.theta_features(np.stack([m.reshape(-1) for m in mesh], axis=1))
+    x_feats = np.tile(benchmark.x_features(x), (len(t_feats), 1))
+    h = np.concatenate([t_feats, x_feats], axis=1)
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        h = np.maximum(h @ w.T + b, 0.0)
+    z = (h @ net.weights[-1].T + net.biases[-1]).reshape(-1)
+    dens = np.exp(z - z.max())
+    dens /= dens.sum() * float(np.prod([a[1] - a[0] for a in axes]))
+    return dens.reshape(tuple(len(a) for a in axes))
+
+
+class TestGridWorkspace:
+    @pytest.mark.parametrize("name", ["mg1", "tractable1d"])
+    def test_densities_bitwise_equal_to_naive_reference(self, name):
+        benchmark = get_benchmark(name)
+        net = random_net(np.random.default_rng(3),
+                         [benchmark.classifier_input_dim(), 64, 64, 64, 1])
+        test = generate_dataset(benchmark, 3, seed=4, namespace="test")
+        for x in test.x:  # later observations reuse the cached features and buffers
+            grid = posterior_grid(net, benchmark, x)
+            assert np.array_equal(grid.densities, naive_posterior_densities(net, benchmark, x))
+
+    def test_cached_theta_features_are_read_only_and_shared(self):
+        first = _grid_theta_features(get_benchmark("mg1"), grid_axes(get_benchmark("mg1")))
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 0.0
+        again = get_benchmark("mg1")
+        assert _grid_theta_features(again, grid_axes(again)) is first
+
+    def test_grid_shape_is_part_of_the_cache_key(self, tractable_benchmark):
+        coarse = _grid_theta_features(tractable_benchmark, grid_axes(tractable_benchmark, (16,)))
+        fine = _grid_theta_features(tractable_benchmark, grid_axes(tractable_benchmark))
+        assert coarse.shape == (16, 1) and fine.shape == (1024, 1)
 
 
 class TestExactPosteriorGrid:

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -334,6 +335,21 @@ class TestDatasetContainer:
         path.write_bytes(raw[:-8])
         with pytest.raises(ValueError, match="truncated"):
             load_dataset(path)
+
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        ds = self._dataset()
+        path = tmp_path / "data.bnre"
+        save_dataset(ds, path)
+        before = path.read_bytes()
+
+        def crash(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", crash)
+        with pytest.raises(OSError, match="disk full"):
+            save_dataset(generate_dataset(get_benchmark("mg1"), 8, seed=2), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["data.bnre"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "data.bnre"
