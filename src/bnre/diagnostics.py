@@ -49,8 +49,6 @@ __all__ = [
 
 DEFAULT_LEVELS = np.round(np.arange(0.05, 0.951, 0.05), 10)
 
-HPD_MASS_TOL = 1e-3
-HPD_MAX_ITER = 60
 BALANCE_TOL = 1e-10
 DENSITY_FLOOR = 1e-300
 
@@ -83,41 +81,25 @@ class CoverageCurve:
 
 
 def hpd_threshold(grid: PosteriorGrid, level: float) -> HpdResult:
-    """Dichotomic search for the density threshold of the 1-alpha region.
+    """Exact density threshold of the 1-alpha highest-density region.
 
-    Bisects the threshold over [0, max density] until the region mass is
-    within 1e-3 of the level or 60 iterations elapse. Cells tied at the
-    threshold are all included (conservative), which can leave the achieved
-    mass above the level on flat regions; such results are flagged.
+    Cells sorted by decreasing density are added until their cumulative
+    mass reaches the level; the threshold is the density of the last cell
+    added. Cells tied at the threshold are all included (conservative),
+    which can leave the achieved mass above the smallest prefix reaching
+    the level on flat regions; such results are flagged.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
     dens = grid.densities.reshape(-1)
     masses = dens * grid.cell_volume
-
-    def mass_at(gamma: float) -> float:
-        return float(masses[dens >= gamma].sum())
-
-    hi = float(dens.max())
-    top_mass = mass_at(hi)
-    if top_mass >= level:
-        region = grid.densities >= hi
-        return HpdResult(hi, region, top_mass, level,
-                         flagged=abs(top_mass - level) > HPD_MASS_TOL)
-
-    lo, lo_mass = 0.0, mass_at(0.0)
-    for _ in range(HPD_MAX_ITER):
-        if abs(lo_mass - level) <= HPD_MASS_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        m = mass_at(mid)
-        if m >= level:
-            lo, lo_mass = mid, m
-        else:
-            hi = mid
-    region = grid.densities >= lo
-    return HpdResult(lo, region, lo_mass, level,
-                     flagged=abs(lo_mass - level) > HPD_MASS_TOL)
+    order = np.argsort(dens)[::-1]
+    k = min(int(np.searchsorted(np.cumsum(masses[order]), level)), dens.size - 1)
+    threshold = float(dens[order[k]])
+    region = grid.densities >= threshold
+    achieved = float(masses[dens >= threshold].sum())
+    return HpdResult(threshold, region, achieved, level,
+                     flagged=int(region.sum()) > k + 1)
 
 
 def hpd_mass_at(grid: PosteriorGrid, theta_star: np.ndarray) -> tuple[float, float]:

@@ -13,9 +13,9 @@ the scientific outputs stay byte-for-byte deterministic.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -26,7 +26,8 @@ from scipy.special import expit
 
 from .diagnostics import (DEFAULT_LEVELS, CoverageCurve, _auc_from_curve,
                           coverage_indicators, sbc_ranks)
-from .nets import load_weights, save_weights
+from .files import replacing
+from .nets import keep_blocks_on_caller, load_weights, save_weights
 from .ratio import posterior_grid
 from .rng import stable_seed, substream
 from .simulators import (Benchmark, Dataset, generate_dataset, get_benchmark,
@@ -53,6 +54,9 @@ METRIC_FIELDS = ("coverage_auc", "coverage_auc_se", "expected_log_posterior",
 
 RESULTS_COLUMNS = ("benchmark", "budget", "seed", "method", "lambda",
                    *METRIC_FIELDS, "status", "error")
+
+# wall seconds of each phase of a run, written to timing.csv only
+PHASE_FIELDS = ("simulate_s", "train_s", "evaluate_s", "persist_s")
 
 
 @dataclass(frozen=True)
@@ -144,6 +148,10 @@ class RunResult:
     wall_time: float = 0.0
     status: str = "ok"
     error: str = ""
+    simulate_s: float = 0.0
+    train_s: float = 0.0
+    evaluate_s: float = 0.0
+    persist_s: float = 0.0
 
     def key(self) -> tuple:
         return (self.benchmark, self.budget, self.seed, self.method, self.lam)
@@ -217,10 +225,12 @@ class ResultsTable:
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     def timing_to_csv(self, path) -> None:
-        lines = ["benchmark,budget,seed,method,lambda,wall_time_s"]
+        lines = [",".join(["benchmark", "budget", "seed", "method", "lambda", "wall_time_s",
+                           *PHASE_FIELDS])]
         for r in sorted(self.rows, key=RunResult.key):
-            lines.append(",".join([r.benchmark, str(r.budget), str(r.seed),
-                                   r.method, repr(r.lam), f"{r.wall_time:.3f}"]))
+            seconds = [r.wall_time, *(getattr(r, f) for f in PHASE_FIELDS)]
+            lines.append(",".join([r.benchmark, str(r.budget), str(r.seed), r.method,
+                                   repr(r.lam), *(f"{t:.3f}" for t in seconds)]))
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     def aggregate_to_csv(self, path) -> None:
@@ -346,7 +356,20 @@ def _curve_to_csv(curve: CoverageCurve, path: Path) -> None:
     lines = ["level,coverage,se"]
     for lvl, cov, se in zip(curve.levels, curve.coverage, curve.se):
         lines.append(f"{repr(float(lvl))},{repr(float(cov))},{repr(float(se))}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with replacing(path) as tmp:
+        tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class _PhaseClock(dict):
+    """Wall seconds per phase, accumulated by ``with clock("train"): ...``."""
+
+    @contextlib.contextmanager
+    def __call__(self, phase: str):
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self[phase] = self.get(phase, 0.0) + time.perf_counter() - start
 
 
 def execute_run(config: ExperimentConfig, budget: int, seed: int, lam: float) -> RunResult:
@@ -355,44 +378,41 @@ def execute_run(config: ExperimentConfig, budget: int, seed: int, lam: float) ->
     benchmark = get_benchmark(config.benchmark)
     method = _method_for(lam)
     slug = _slug(config.benchmark, budget, seed, lam)
+    key = dict(benchmark=config.benchmark, budget=budget, seed=seed, method=method, lam=lam)
+    clock = _PhaseClock()
     started = time.perf_counter()
     try:
-        dataset = _ensure_dataset(benchmark, budget, seed, out)
-        test_set = generate_dataset(benchmark, config.n_test, config.test_seed,
-                                    namespace="test")
-        net, history = train(benchmark, dataset, config.train_config(budget, seed, lam))
+        with clock("simulate_s"):
+            dataset = _ensure_dataset(benchmark, budget, seed, out)
+            test_set = generate_dataset(benchmark, config.n_test, config.test_seed,
+                                        namespace="test")
+        with clock("train_s"):
+            net, history = train(benchmark, dataset, config.train_config(budget, seed, lam))
 
-        for sub in ("weights", "history", "curves", "runs"):
-            (out / sub).mkdir(parents=True, exist_ok=True)
-        save_weights(net, out / "weights" / f"{slug}.json")
-        history.to_csv(out / "history" / f"{slug}.csv")
+        with clock("persist_s"):
+            for sub in ("weights", "history", "curves", "runs"):
+                (out / sub).mkdir(parents=True, exist_ok=True)
+            save_weights(net, out / "weights" / f"{slug}.json")
+            history.to_csv(out / "history" / f"{slug}.csv")
 
-        metrics = evaluate_net(
-            net, benchmark, test_set, levels=np.asarray(config.levels),
-            sbc_samples=config.sbc_samples,
-            sbc_rng=substream("sbc", config.benchmark, budget, seed, float(lam)),
-            balance_rng=substream("balance", config.benchmark, budget, seed, float(lam)),
-        )
-        _curve_to_csv(metrics["curve"], out / "curves" / f"{slug}_coverage.csv")
+        with clock("evaluate_s"):
+            metrics = evaluate_net(
+                net, benchmark, test_set, levels=np.asarray(config.levels),
+                sbc_samples=config.sbc_samples,
+                sbc_rng=substream("sbc", config.benchmark, budget, seed, float(lam)),
+                balance_rng=substream("balance", config.benchmark, budget, seed, float(lam)),
+            )
 
-        result = RunResult(
-            benchmark=config.benchmark, budget=budget, seed=seed, method=method,
-            lam=lam, coverage_auc=metrics["coverage_auc"],
-            coverage_auc_se=metrics["coverage_auc_se"],
-            expected_log_posterior=metrics["expected_log_posterior"],
-            bias=metrics["bias"], variance=metrics["variance"],
-            balance_gap=metrics["balance_gap"],
-            wall_time=time.perf_counter() - started,
-        )
-        run_doc = {k: _json_safe(getattr(result, k)) for k in
-                   ("benchmark", "budget", "seed", "method", "lam", *METRIC_FIELDS)}
-        (out / "runs" / f"{slug}.json").write_text(
-            json.dumps(run_doc, sort_keys=True), encoding="utf-8")
-        return result
+        with clock("persist_s"):
+            _curve_to_csv(metrics["curve"], out / "curves" / f"{slug}_coverage.csv")
+            run_doc = {k: _json_safe(v) for k, v in key.items()}
+            run_doc.update((m, _json_safe(metrics[m])) for m in METRIC_FIELDS)
+            with replacing(out / "runs" / f"{slug}.json") as tmp:
+                tmp.write_text(json.dumps(run_doc, sort_keys=True), encoding="utf-8")
+        return RunResult(**key, **{m: metrics[m] for m in METRIC_FIELDS},
+                         wall_time=time.perf_counter() - started, **clock)
     except (TrainingDiverged, RuntimeError, ValueError) as err:
-        return RunResult(benchmark=config.benchmark, budget=budget, seed=seed,
-                         method=method, lam=lam,
-                         wall_time=time.perf_counter() - started,
+        return RunResult(**key, wall_time=time.perf_counter() - started, **clock,
                          status="failed", error=f"{type(err).__name__}: {err}")
 
 
@@ -405,7 +425,9 @@ def _execute_many(config: ExperimentConfig, specs: list[tuple[int, int, float]])
         for seed in sorted({s for _, s, _ in specs}):
             _ensure_dataset(benchmark, budget, seed, out)
     if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        # the worker processes already share the cores: no forward splits its blocks
+        with ProcessPoolExecutor(max_workers=config.workers,
+                                 initializer=keep_blocks_on_caller) as pool:
             futures = [pool.submit(execute_run, config, *spec) for spec in specs]
             return [f.result() for f in futures]
     return [execute_run(config, *spec) for spec in specs]
@@ -446,16 +468,18 @@ def _read_rows(out: Path) -> list[RunResult]:
     if not (out / "report.json").exists():
         return []
     doc = json.loads((out / "report.json").read_text(encoding="utf-8"))
-    wall_times = {}
+    timings = {}
     if (out / "timing.csv").exists():
+        # older timing.csv files end at wall_time_s, without the phase columns
         for line in (out / "timing.csv").read_text(encoding="utf-8").splitlines()[1:]:
-            bench, budget, seed, method, lam, wall = line.split(",")
-            wall_times[bench, int(budget), int(seed), method, float(lam)] = float(wall)
+            bench, budget, seed, method, lam, *seconds = line.split(",")
+            timings[bench, int(budget), int(seed), method, float(lam)] = dict(
+                zip(("wall_time", *PHASE_FIELDS), map(float, seconds)))
     rows = []
     for r in doc["rows"]:
         key = (r["benchmark"], r["budget"], r["seed"], r["method"], r["lambda"])
         metrics = {m: float("nan") if r[m] is None else r[m] for m in METRIC_FIELDS}
-        rows.append(RunResult(*key, **metrics, wall_time=wall_times.get(key, 0.0),
+        rows.append(RunResult(*key, **metrics, **timings.get(key, {}),
                               status=r["status"], error=r["error"]))
     return rows
 
@@ -477,9 +501,8 @@ def _write_outputs(config: ExperimentConfig, table: ResultsTable) -> None:
                         ("aggregate.csv", table.aggregate_to_csv),
                         ("timing.csv", table.timing_to_csv),
                         ("report.json", lambda path: write_report(path, config, table))):
-        tmp = out / f".{name}.tmp"
-        write(tmp)
-        os.replace(tmp, out / name)
+        with replacing(out / name) as tmp:
+            write(tmp)
 
 
 def _json_safe(value):

@@ -3,20 +3,37 @@
 The network maps a feature vector (parameters concatenated with an
 observable) to a single unbounded logit; the sigmoid is applied downstream,
 and all losses are computed in logit space; training gradients come from
-:func:`bnre.training.bnre_loss_grads`. Everything runs in float64 on one
-thread per training run, so identical (config, seed) pairs reproduce
+:func:`bnre.training.bnre_loss_grads`. Everything runs in float64, and
+numpy's OpenBLAS runs one thread per calling thread
+(:func:`one_blas_thread`), so identical (config, seed) pairs reproduce
 bitwise-identical trajectories.
+
+:meth:`ClassifierNet.logits` evaluates its rows in blocks of
+:data:`BLOCK_ROWS`. A call of several blocks splits them into contiguous
+spans, one for the calling thread and one for each of a pool of worker
+threads, one per further CPU the process may use. Rows are independent and
+each block is computed the same way on any thread, so the logits do not
+depend on the CPU count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import json
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .files import replacing
+
 __all__ = [
+    "BLOCK_ROWS",
     "ClassifierNet",
     "OptimizerState",
     "DivergenceError",
@@ -24,6 +41,8 @@ __all__ = [
     "lr_schedule_update",
     "save_weights",
     "load_weights",
+    "one_blas_thread",
+    "keep_blocks_on_caller",
 ]
 
 ADAM_BETA1 = 0.9
@@ -35,6 +54,120 @@ PLATEAU_FACTOR = 10.0
 
 WEIGHTS_FORMAT = "bnre-weights"
 WEIGHTS_VERSION = 1
+
+# rows per block of ClassifierNet.logits: one block's hidden layer (1024 x 64
+# float64, 512 KiB) fits the per-thread buffers and stays in cache
+BLOCK_ROWS = 1024
+
+
+@functools.cache
+def _blas_threads_setter():
+    """numpy's ``openblas_set_num_threads_local``, or None under another BLAS.
+
+    The symbol is looked up through numpy's own extension module, whose
+    dependency tree holds numpy's OpenBLAS only. scipy loads a second copy
+    that exports the same name; pinning that copy would leave numpy's
+    matmuls on all threads.
+    """
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    try:
+        setter = ctypes.CDLL(umath.__file__).openblas_set_num_threads_local
+    except (OSError, AttributeError):
+        return None
+    setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+    return setter
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the calling thread's numpy BLAS calls on that thread alone.
+
+    Left alone, OpenBLAS hands part of each of these small matmuls to a
+    second thread that spins without making them faster. The caller's
+    previous setting is restored on exit.
+    """
+    setter = _blas_threads_setter()
+    if setter is None:
+        yield
+        return
+    previous = setter(1)
+    try:
+        yield
+    finally:
+        setter(previous)
+
+
+# (pid, pool or None, threads per call): built on first use in each process,
+# since a forked child has none of its parent's worker threads. Two threads
+# that build it at once each get a working pool; the one not kept is
+# collected after its call returns, and its threads then exit.
+_POOL: tuple[int, ThreadPoolExecutor | None, int] | None = None
+
+# each thread's ping-pong buffers for the hidden layers of one block; they
+# live as long as the thread, so the forward frees nothing large
+_BUFFERS = threading.local()
+
+
+def keep_blocks_on_caller() -> None:
+    """Evaluate every block on the calling thread, in this process.
+
+    For processes that already share the cores, such as the harness's
+    ``workers > 1`` pool.
+    """
+    global _POOL
+    _POOL = (os.getpid(), None, 1)
+
+
+def _block_pool() -> tuple[ThreadPoolExecutor | None, int]:
+    """Pinned worker threads (one per further usable CPU) and threads per call."""
+    global _POOL
+    pid = os.getpid()
+    if _POOL is None or _POOL[0] != pid:
+        setter = _blas_threads_setter()
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        if setter is None or cpus < 2:
+            _POOL = (pid, None, 1)
+        else:
+            _POOL = (pid, ThreadPoolExecutor(cpus - 1, "bnre-forward",
+                                             initializer=setter, initargs=(1,)), cpus)
+    return _POOL[1], _POOL[2]
+
+
+def _block_bounds(n: int) -> list[int]:
+    """Row offsets of the blocks of an n-row forward.
+
+    Blocks hold BLOCK_ROWS rows. A tail shorter than half a block is merged
+    with the block before it, and the two are split at a multiple of 64
+    rows: BLAS multiplies a few rows with other kernels and other rounding
+    than it uses for the same rows inside a larger product.
+    """
+    bounds = [0, *range(BLOCK_ROWS, n, BLOCK_ROWS), n]
+    if len(bounds) > 2 and n - bounds[-2] < BLOCK_ROWS // 2:
+        bounds[-2] = bounds[-3] + (n - bounds[-3]) // 128 * 64
+    return bounds
+
+
+def _forward_blocks(net: ClassifierNet, x: np.ndarray, out: np.ndarray,
+                    bounds: list[int]) -> None:
+    """Logits of the blocks between consecutive ``bounds`` into ``out``."""
+    weights, biases = net.weights, net.biases
+    size = BLOCK_ROWS * max((w.shape[0] for w in weights[:-1]), default=0)
+    buffers = getattr(_BUFFERS, "pair", None)
+    if buffers is None or buffers[0].size < size:
+        buffers = _BUFFERS.pair = (np.empty(size), np.empty(size))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        h = x[lo:hi]
+        for k, (w, b) in enumerate(zip(weights[:-1], biases[:-1])):
+            layer = buffers[k % 2][:(hi - lo) * w.shape[0]].reshape(hi - lo, w.shape[0])
+            np.matmul(h, w.T, out=layer)
+            layer += b
+            h = np.maximum(layer, 0.0, out=layer)
+        np.matmul(h, weights[-1].T, out=out[lo:hi, None])
+        out[lo:hi] += biases[-1]
 
 
 class DivergenceError(RuntimeError):
@@ -66,12 +199,6 @@ class ClassifierNet:
         self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
         self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
         self.activation = activation
-        # ping-pong buffers for the hidden layers of logits(), kept only while
-        # the row count stays the same: freeing them when it changes lets
-        # glibc raise its mmap/trim thresholds, which keeps the training
-        # step's 128 KiB arrays off mmap (a grow-only workspace slowed
-        # train() by about 20% through page faults)
-        self._workspace = (np.empty(0), np.empty(0))
 
     @classmethod
     def initialize(cls, input_dim: int, hidden_layers: int, hidden_units: int,
@@ -115,25 +242,29 @@ class ClassifierNet:
     def logits(self, x: np.ndarray) -> np.ndarray:
         """Batch forward: [n, input_dim] -> [n].
 
-        Hidden layers alternate between two buffers the net keeps, so a
-        grid of many rows allocates no per-layer temporaries; the returned
-        logits are a fresh array that later calls never overwrite. The
-        buffers make one net unsafe to evaluate from two threads at once.
+        Rows go through the net in blocks (:func:`_block_bounds`), each
+        thread's hidden layers alternating between two buffers that thread
+        keeps, so a grid of many rows allocates no per-layer temporaries.
+        The blocks of a multi-block call are split into contiguous spans
+        between the calling thread and the worker pool. The returned logits
+        are a fresh array, and one net may be evaluated from several
+        threads at once.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ValueError(f"expected [n, {self.input_dim}] input, got {x.shape}")
-        n = x.shape[0]
-        size = n * max((w.shape[0] for w in self.weights[:-1]), default=0)
-        if self._workspace[0].size != size:
-            self._workspace = (np.empty(size), np.empty(size))
-        h = x
-        for k, (w, b) in enumerate(zip(self.weights[:-1], self.biases[:-1])):
-            out = self._workspace[k % 2][:n * w.shape[0]].reshape(n, w.shape[0])
-            np.matmul(h, w.T, out=out)
-            out += b
-            h = np.maximum(out, 0.0, out=out)
-        return (h @ self.weights[-1].T + self.biases[-1]).reshape(-1)
+        out = np.empty(x.shape[0])
+        bounds = _block_bounds(x.shape[0])
+        pool, threads = _block_pool() if len(bounds) > 2 else (None, 1)
+        blocks = len(bounds) - 1
+        cuts = [blocks * i // threads for i in range(threads + 1)]
+        spans = [bounds[a:b + 1] for a, b in zip(cuts[:-1], cuts[1:]) if a < b]
+        with one_blas_thread():
+            futures = [pool.submit(_forward_blocks, self, x, out, span) for span in spans[1:]]
+            _forward_blocks(self, x, out, spans[0])
+            for future in futures:
+                future.result()
+        return out
 
     def logit(self, v: np.ndarray) -> float:
         """Single-input forward: [input_dim] -> scalar logit."""
@@ -208,7 +339,7 @@ def save_weights(net: ClassifierNet, path) -> None:
         "biases": [float(v) for b in net.biases for v in b.reshape(-1)],
         "activation": net.activation,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
 
 

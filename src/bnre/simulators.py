@@ -39,13 +39,12 @@ Benchmarks
 from __future__ import annotations
 
 import json
-import os
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .files import replacing
 from .rng import substream
 
 __all__ = [
@@ -562,18 +561,12 @@ def save_dataset(dataset: Dataset, path) -> None:
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     payload = np.hstack([dataset.theta, dataset.x]).astype("<f8").tobytes()
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(DATASET_MAGIC)
-            fh.write(struct.pack("<I", DATASET_VERSION))
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
-            fh.write(payload)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with replacing(path) as tmp, open(tmp, "wb") as fh:
+        fh.write(DATASET_MAGIC)
+        fh.write(struct.pack("<I", DATASET_VERSION))
+        fh.write(struct.pack("<I", len(blob)))
+        fh.write(blob)
+        fh.write(payload)
 
 
 def load_dataset(path) -> Dataset:

@@ -27,8 +27,9 @@ from scipy.special import expit
 
 from . import autodiff
 from .autodiff import Var
+from .files import replacing
 from .nets import (ClassifierNet, DivergenceError, OptimizerState, adam_step,
-                   lr_schedule_update)
+                   lr_schedule_update, one_blas_thread)
 from .simulators import Benchmark, Dataset
 
 __all__ = [
@@ -94,7 +95,7 @@ class TrainHistory:
         return int(np.argmin(self.val_loss))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with replacing(path) as tmp, open(tmp, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["epoch", "train_loss", "val_loss", "balance_B", "lr"])
             for e in range(len(self)):
@@ -251,6 +252,7 @@ def finite_diff_check(net: ClassifierNet, feats_j: np.ndarray, feats_m: np.ndarr
     return worst
 
 
+@one_blas_thread()
 def train(benchmark: Benchmark, dataset: Dataset, config: TrainConfig
           ) -> tuple[ClassifierNet, TrainHistory]:
     """Minimize the balanced loss; return the best-validation-epoch network.
@@ -258,6 +260,7 @@ def train(benchmark: Benchmark, dataset: Dataset, config: TrainConfig
     The validation split is used only for the plateau learning-rate schedule
     and best-epoch selection; validation samples never contribute gradients.
     The scheduled quantity is the full loss including the lambda penalty.
+    Numpy's BLAS runs on the calling thread alone for the whole loop.
     """
     if dataset.benchmark != benchmark.name:
         raise ValueError(

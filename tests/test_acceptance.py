@@ -4,7 +4,8 @@ Each test prints one PASS/FAIL line with its measured quantities, then
 asserts. The heavyweight budget/seed sweeps are shared session fixtures, so
 criteria 4, 5, and 7 reuse one set of trained runs. Expected total runtime
 is roughly 15-25 minutes on one desktop core; the stated per-criterion
-runtime bounds are asserted where the criteria pin them.
+runtime bounds are asserted where the criteria pin them. All of them carry
+the ``acceptance`` marker, so ``pytest -m "not acceptance"`` runs the rest.
 """
 
 import math
@@ -25,6 +26,8 @@ from conftest import batch_away_from_kinks, random_net
 BENCHMARKS = ("tractable1d", "weinberg", "mg1")
 BUDGETS = (1024, 4096, 16384)
 SEEDS = (0, 1, 2)
+
+pytestmark = pytest.mark.acceptance
 
 
 def report(number, name, ok, detail):

@@ -70,6 +70,20 @@ class TestHpdThreshold:
             assert result.achieved_mass >= level - 1e-3
             assert result.achieved_mass <= minimal + 1e-3
 
+    def test_region_is_the_smallest_tie_completed_prefix(self):
+        rng = substream("hpd-exact", 3)
+        for _ in range(60):
+            masses = rng.dirichlet(np.ones(int(rng.integers(2, 30))))
+            masses[: len(masses) // 3] = masses[0]  # a tie group
+            masses /= masses.sum()
+            level = float(rng.uniform(0.05, 0.95))
+            result = hpd_threshold(grid_from_masses(masses), level)
+            region, mass = min(((r, m) for r, m in enumerate_hpd_placements(masses)
+                                if m >= level), key=lambda rm: rm[1])
+            assert frozenset(result.cell_indices.tolist()) == region
+            assert result.threshold in masses
+            assert result.achieved_mass == pytest.approx(mass, abs=1e-12)
+
     def test_invalid_level_rejected(self):
         grid = grid_from_masses([0.6, 0.4])
         for level in (0.0, 1.0, -0.2, 1.7):

@@ -1,11 +1,14 @@
 import json
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bnre.harness import (ExperimentConfig, ResultsTable, RunResult, _ensure_dataset,
-                          lambda_sweep, run_experiment)
+from bnre import nets
+from bnre.harness import (PHASE_FIELDS, ExperimentConfig, ResultsTable, RunResult,
+                          _ensure_dataset, lambda_sweep, run_experiment)
 from bnre.simulators import generate_dataset, get_benchmark, load_dataset, save_dataset
 
 
@@ -94,6 +97,30 @@ class TestRunExperiment:
         parallel = run_experiment(tiny_config(tmp_path / "par", workers=2))
         assert parallel.comparable_rows() == serial.comparable_rows()
 
+    def test_worker_pool_after_a_multi_block_forward_matches_serial(self, tmp_path):
+        # the serial run's 128x128 grids start this process's forward threads;
+        # the forked workers must neither reuse nor wait for them
+        config = dict(benchmark="mg1", budgets=(64,), seeds=(0, 1), methods=("bnre",),
+                      n_test=4, epochs=2)
+        serial = run_experiment(tiny_config(tmp_path / "serial", **config))
+        assert nets._POOL is not None and nets._POOL[0] == os.getpid()
+        parallel = run_experiment(tiny_config(tmp_path / "par", workers=2, **config))
+        assert serial.all_ok
+        assert parallel.comparable_rows() == serial.comparable_rows()
+
+    def test_timing_csv_records_phase_wall_times(self, completed_experiment):
+        config, table = completed_experiment
+        lines = (Path(config.output_dir) / "timing.csv").read_text().splitlines()
+        assert lines[0] == ("benchmark,budget,seed,method,lambda,wall_time_s,"
+                            "simulate_s,train_s,evaluate_s,persist_s")
+        for line in lines[1:]:
+            wall, *phases = map(float, line.split(",")[5:])
+            assert len(phases) == 4 and min(phases) >= 0.0
+            assert phases[1] > 0.0 and phases[2] > 0.0
+            assert sum(phases) <= wall + 0.003
+        for row in table.rows:
+            assert sum(getattr(row, f) for f in PHASE_FIELDS) <= row.wall_time
+
     def test_datasets_are_reused_not_regenerated(self, completed_experiment):
         config, _ = completed_experiment
         from pathlib import Path
@@ -139,6 +166,45 @@ class TestSharedOutputDir:
         timing = (tmp_path / "timing.csv").read_text().splitlines()
         assert len(timing) == 3
         assert not list(tmp_path.glob(".*.tmp"))
+
+
+    def test_six_column_timing_from_older_code_is_merged(self, tmp_path):
+        run_experiment(self._config(tmp_path, "bnre"))
+        timing = tmp_path / "timing.csv"
+        old_lines = [",".join(line.split(",")[:6])
+                     for line in timing.read_text().splitlines()]
+        timing.write_text("\n".join(old_lines) + "\n")
+        run_experiment(self._config(tmp_path, "nre"))
+        lines = timing.read_text().splitlines()
+        assert len(lines) == 3 and lines[0].endswith("persist_s")
+        bnre_row = lines[1].split(",")
+        assert bnre_row[3] == "bnre"
+        assert bnre_row[5] == old_lines[1].split(",")[5]
+        assert bnre_row[6:] == ["0.000"] * 4
+
+
+class TestAtomicArtifacts:
+    @pytest.mark.parametrize("artifact", ["weights", "history", "curves", "runs"])
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch, artifact):
+        config = dict(budgets=(64,), seeds=(0,), methods=("bnre",))
+        run_experiment(tiny_config(tmp_path, epochs=2, **config))
+        (path,) = (tmp_path / artifact).iterdir()
+        before = path.read_bytes()
+        replace = os.replace
+
+        def crash_on_artifact(src, dst):
+            if Path(dst).parent.name == artifact:
+                raise OSError("disk full")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", crash_on_artifact)
+        with pytest.raises(OSError, match="disk full"):
+            run_experiment(tiny_config(tmp_path, epochs=3, **config))
+        assert path.read_bytes() == before
+        assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+        monkeypatch.setattr(os, "replace", replace)
+        run_experiment(tiny_config(tmp_path, epochs=3, **config))
+        assert path.read_bytes() != before
 
 
 class TestDatasetCache:

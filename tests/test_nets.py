@@ -1,11 +1,18 @@
 import json
 import math
+import multiprocessing
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from bnre.nets import (ClassifierNet, DivergenceError, OptimizerState, adam_step,
-                       load_weights, lr_schedule_update, save_weights)
+from bnre import nets
+from bnre.nets import (BLOCK_ROWS, ClassifierNet, DivergenceError, OptimizerState,
+                       adam_step, load_weights, lr_schedule_update, one_blas_thread,
+                       save_weights)
 from bnre.training import finite_diff_check
 
 from conftest import batch_away_from_kinks, random_net
@@ -55,20 +62,39 @@ class TestForward:
 
 
 def naive_logits(net, x):
-    """Forward with a fresh array per operation, as a reference for the workspace."""
-    h = x
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        h = np.maximum(h @ w.T + b, 0.0)
-    return (h @ net.weights[-1].T + net.biases[-1]).reshape(-1)
+    """Forward with a fresh array per operation, as a reference for the workspace.
+
+    It runs on one BLAS thread: with more, OpenBLAS splits a product's rows
+    between threads and rounds the rows at the seams differently.
+    """
+    with one_blas_thread():
+        h = x
+        for w, b in zip(net.weights[:-1], net.biases[:-1]):
+            h = np.maximum(h @ w.T + b, 0.0)
+        return (h @ net.weights[-1].T + net.biases[-1]).reshape(-1)
+
+
+def caller_only(monkeypatch):
+    """Keep every block of later forwards on the calling thread."""
+    monkeypatch.setattr(nets, "_POOL", (os.getpid(), None, 1))
+
+
+def pool_in_use():
+    return nets._block_pool()[0] is not None
 
 
 class TestForwardWorkspace:
-    def test_bitwise_equal_to_naive_forward_over_interleaved_row_counts(self):
+    def test_bitwise_equal_to_naive_forward_over_interleaved_row_counts(self, monkeypatch):
         rng = np.random.default_rng(7)
-        net = random_net(rng, [7, 64, 32, 64, 1])  # unequal widths share the buffers
-        for n in (16384, 1024, 3, 16384):
-            x = rng.uniform(-1.0, 1.0, size=(n, 7))
-            assert np.array_equal(net.logits(x), naive_logits(net, x))
+        net = random_net(rng, [7, 64, 32, 48, 1])  # unequal widths share the buffers
+        counts = (1, 3, 1023, 1024, 1025, 16384, 16385, 3)
+        inputs = [rng.uniform(-1.0, 1.0, size=(n, 7)) for n in counts]
+        expected = [naive_logits(net, x) for x in inputs]
+        for x, ref in zip(inputs, expected):
+            assert np.array_equal(net.logits(x), ref), len(x)
+        caller_only(monkeypatch)
+        for x, ref in zip(inputs, expected):
+            assert np.array_equal(net.logits(x), ref), len(x)
 
     def test_returned_logits_and_input_survive_later_calls(self):
         rng = np.random.default_rng(8)
@@ -83,14 +109,124 @@ class TestForwardWorkspace:
         assert np.array_equal(x, x_kept)
 
     def test_buffers_are_reused_while_the_row_count_stays_the_same(self):
+        # the buffers belong to the thread and hold one block of any net
         rng = np.random.default_rng(10)
         net = random_net(rng, [3, 8, 8, 1])
         net.logits(rng.standard_normal((30, 3)))
-        kept = net._workspace
-        net.logits(rng.standard_normal((30, 3)))
-        assert all(a is b for a, b in zip(net._workspace, kept))
-        net.logits(rng.standard_normal((20, 3)))
-        assert net._workspace[0].size == 20 * 8
+        kept = nets._BUFFERS.pair
+        assert kept[0].size >= BLOCK_ROWS * 8
+        for n in (30, 20, 3 * BLOCK_ROWS + 5):
+            net.logits(rng.standard_normal((n, 3)))
+            assert nets._BUFFERS.pair is kept
+        other = []
+        thread = threading.Thread(target=lambda: (net.logits(np.ones((5, 3))),
+                                                  other.append(nets._BUFFERS.pair)))
+        thread.start()
+        thread.join()
+        assert other[0] is not kept and other[0][0].size == BLOCK_ROWS * 8
+        wide = random_net(rng, [3, 8 * BLOCK_ROWS // 256, 1])
+        wide.logits(rng.standard_normal((30, 3)))
+        assert nets._BUFFERS.pair[0].size >= BLOCK_ROWS * wide.weights[0].shape[0]
+
+
+def _logits_and_pool(net, x):
+    got = net.logits(x)
+    return nets._POOL[0], nets._POOL[2], got
+
+
+class TestForwardThreads:
+    def test_threads_sharing_one_net_get_the_serial_bits(self):
+        # more callers than cores, switching often, all on one net and one pool
+        rng = np.random.default_rng(11)
+        net = random_net(rng, [5, 64, 64, 64, 1])
+        inputs = [rng.standard_normal((n, 5)) for n in (5000, 16384, 700, 2049)]
+        expected = [naive_logits(net, x) for x in inputs]
+        start = threading.Barrier(4)
+        results = {}
+
+        def evaluate(name):
+            start.wait()
+            results[name] = [net.logits(x) for _ in range(3) for x in inputs]
+
+        threads = [threading.Thread(target=evaluate, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 4
+        for got in results.values():
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected * 3))
+
+    def test_pinning_restores_the_callers_blas_threads(self):
+        setter = nets._blas_threads_setter()
+        if setter is None:
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        net = random_net(np.random.default_rng(12), [3, 16, 1])
+        original = setter(2)
+        try:
+            net.logits(np.ones((3000, 3)))
+            assert setter(2) == 2
+            with one_blas_thread():
+                assert setter(1) == 1
+            assert setter(2) == 2
+        finally:
+            setter(original)
+
+    def test_without_the_blas_symbol_no_pool_and_the_same_bits(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        net = random_net(rng, [4, 32, 32, 1])
+        x = rng.standard_normal((5000, 4))
+        expected = net.logits(x)
+        monkeypatch.setattr(nets, "_blas_threads_setter", lambda: None)
+        monkeypatch.setattr(nets, "_POOL", None)
+        assert np.array_equal(net.logits(x), expected)
+        assert nets._POOL == (os.getpid(), None, 1)
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        if not pool_in_use():
+            pytest.skip("one usable CPU or no OpenBLAS: no worker threads")
+        forward = nets._forward_blocks
+        caller = threading.current_thread()
+
+        def failing_on_workers(*args):
+            if threading.current_thread() is not caller:
+                raise FloatingPointError("worker failed")
+            forward(*args)
+
+        monkeypatch.setattr(nets, "_forward_blocks", failing_on_workers)
+        net = random_net(np.random.default_rng(14), [3, 8, 1])
+        with pytest.raises(FloatingPointError, match="worker failed"):
+            net.logits(np.ones((4 * BLOCK_ROWS, 3)))
+
+    def test_forked_child_builds_its_own_pool(self):
+        # a child reusing the parent's pool would wait forever for its threads
+        rng = np.random.default_rng(16)
+        net = random_net(rng, [3, 32, 32, 1])
+        x = rng.standard_normal((4 * BLOCK_ROWS, 3))
+        expected = net.logits(x)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            child_pid, child_pool, got = pool.apply_async(_logits_and_pool, (net, x)).get(60)
+        assert np.array_equal(got, expected)
+        assert child_pid != os.getpid() and child_pool == nets._POOL[2]
+
+    def test_large_matmul_in_a_pinned_scope_runs_on_one_core(self):
+        # pinning scipy's OpenBLAS copy instead of numpy's leaves this at ~2
+        if nets._blas_threads_setter() is None or len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("needs OpenBLAS and two usable CPUs")
+        a = np.random.default_rng(15).standard_normal((1000, 1000))
+        with one_blas_thread():
+            time.sleep(0.3)  # OpenBLAS's idle threads spin a while after a call
+            cpu, wall = time.process_time(), time.perf_counter()
+            for _ in range(5):
+                a @ a
+            ratio = (time.process_time() - cpu) / (time.perf_counter() - wall)
+        assert ratio <= 1.3
 
 
 class TestAdam:

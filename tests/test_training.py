@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnre import autodiff
+from bnre import autodiff, nets, training
 from bnre.autodiff import Tape, backward, leaf
 from bnre.diagnostics import DiscreteToy
 from bnre.nets import ClassifierNet, OptimizerState, adam_step
@@ -250,6 +250,29 @@ class TestTraining:
         for pa, pb in zip(net_a.parameters(), net_b.parameters()):
             assert np.array_equal(pa, pb)
         assert hist_a.val_loss == hist_b.val_loss
+
+    def test_training_steps_run_on_one_blas_thread(self, tractable, monkeypatch):
+        setter = nets._blas_threads_setter()
+        if setter is None:
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        seen = []
+        grads = training.bnre_loss_grads
+
+        def recording(*args):
+            previous = setter(1)
+            setter(previous)
+            seen.append(previous)
+            return grads(*args)
+
+        monkeypatch.setattr(training, "bnre_loss_grads", recording)
+        original = setter(2)
+        try:
+            train(tractable, generate_dataset(tractable, 256, seed=6),
+                  TrainConfig(epochs=2, batch_size=32))
+            assert setter(2) == 2  # the caller's setting is back
+        finally:
+            setter(original)
+        assert seen and set(seen) == {1}
 
     def test_nan_input_aborts_with_history(self, tractable):
         dataset = generate_dataset(tractable, 256, seed=4)
