@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .ratio import PosteriorGrid
 
@@ -261,6 +260,9 @@ def sbc_ranks(posterior_fn, test_set, rng: np.random.Generator,
             f_star = theta_star[d]
         ranks.append(float(np.mean(f_draws <= f_star)))
     ranks = np.asarray(ranks)
+    # imported here: scipy.stats costs about a second and 45 MiB to import,
+    # and nothing else in bnre needs it
+    from scipy import stats
     ks = stats.kstest(ranks, "uniform")
     return SbcResult(ranks, float(ks.statistic), float(ks.pvalue),
                      degenerate=bool(np.ptp(ranks) == 0.0))

@@ -407,6 +407,11 @@ def execute_run(config: ExperimentConfig, budget: int, seed: int, lam: float) ->
             _curve_to_csv(metrics["curve"], out / "curves" / f"{slug}_coverage.csv")
             run_doc = {k: _json_safe(v) for k, v in key.items()}
             run_doc.update((m, _json_safe(metrics[m])) for m in METRIC_FIELDS)
+            best = history.best_epoch
+            run_doc.update(best_epoch=best, lr_drop_epochs=history.lr_drop_epochs,
+                           balance_at_best=_json_safe(history.balance[best]),
+                           regenerated={"train": int(dataset.failures),
+                                        "test": int(test_set.failures)})
             with replacing(out / "runs" / f"{slug}.json") as tmp:
                 tmp.write_text(json.dumps(run_doc, sort_keys=True), encoding="utf-8")
         return RunResult(**key, **{m: metrics[m] for m in METRIC_FIELDS},

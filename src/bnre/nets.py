@@ -276,7 +276,11 @@ class ClassifierNet:
 
 @dataclass
 class OptimizerState:
-    """Adam accumulators plus the validation-plateau learning-rate schedule."""
+    """Adam accumulators plus the validation-plateau learning-rate schedule.
+
+    ``scratch`` holds two arrays the shape of each accumulator, where
+    :func:`adam_step` builds its update without allocating.
+    """
 
     m: list[np.ndarray]
     v: list[np.ndarray]
@@ -284,6 +288,10 @@ class OptimizerState:
     lr: float = 1e-3
     plateau_count: int = 0
     best_val_loss: float = field(default=math.inf)
+    scratch: list[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.scratch = [np.empty((2, *m.shape)) for m in self.m]
 
     @classmethod
     def for_params(cls, params: list[np.ndarray], lr: float) -> "OptimizerState":
@@ -295,7 +303,11 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
               state: OptimizerState) -> None:
     """In-place Adam update (beta1=0.9, beta2=0.999, eps=1e-8).
 
-    Raises :class:`DivergenceError` on non-finite gradients or parameters.
+    The update ``lr * (m / bc1) / (sqrt(v / bc2) + eps)`` is built in
+    ``state.scratch`` one operation at a time, in the order of that
+    expression, so it rounds the same as the expression evaluated with
+    temporaries. Raises :class:`DivergenceError` on non-finite gradients or
+    parameters.
     """
     if len(params) != len(grads):
         raise ValueError("one gradient per parameter required")
@@ -308,12 +320,18 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
     t = state.step_count
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for p, g, m, v, (step, denom) in zip(params, grads, state.m, state.v, state.scratch):
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=step)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        np.multiply(g, g, out=step)
+        v += np.multiply(step, 1.0 - ADAM_BETA2, out=step)
+        np.divide(m, bc1, out=step)
+        step *= state.lr
+        np.divide(v, bc2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        p -= np.divide(step, denom, out=step)
         if not np.all(np.isfinite(p)):
             raise DivergenceError("non-finite parameter after update; run aborted")
 

@@ -12,7 +12,9 @@ from probabilities.
 
 Every training step runs the closed-form gradient :func:`bnre_loss_grads`,
 which :func:`finite_diff_check` validates against central differences of
-:func:`bnre_loss`. The reverse-mode tape (:func:`forward_on_tape`,
+:func:`bnre_loss`. A step gathers its rows into, and computes in,
+:class:`StepBuffers` made once per :func:`train` call, and Adam updates in
+place, so a step allocates no array. The reverse-mode tape (:func:`forward_on_tape`,
 :func:`bnre_loss_var`) is only an independent reference for the tests.
 """
 
@@ -42,6 +44,7 @@ __all__ = [
     "balance_statistic",
     "bnre_loss",
     "bnre_loss_grads",
+    "StepBuffers",
     "finite_diff_check",
     "forward_on_tape",
     "bnre_loss_var",
@@ -93,6 +96,11 @@ class TrainHistory:
     @property
     def best_epoch(self) -> int:
         return int(np.argmin(self.val_loss))
+
+    @property
+    def lr_drop_epochs(self) -> list[int]:
+        """Epochs that ran at a lower learning rate than the epoch before."""
+        return [e for e in range(1, len(self.lr)) if self.lr[e] < self.lr[e - 1]]
 
     def to_csv(self, path) -> None:
         with replacing(path) as tmp, open(tmp, "w", newline="", encoding="utf-8") as fh:
@@ -193,8 +201,34 @@ def bnre_loss(logits_joint: np.ndarray, logits_marginal: np.ndarray, lam: float)
                              np.asarray(logits_marginal, dtype=np.float64), lam)[0]
 
 
+class StepBuffers:
+    """Every array one training step writes, for a net and up to ``rows`` rows.
+
+    ``rows`` holds the stacked joint and marginal inputs; ``acts[k]`` and
+    ``backs[k]`` the output of hidden layer k and the loss gradient at its
+    pre-activation; ``mask`` one hidden layer's ReLU mask; ``z``, ``s``,
+    ``g`` and ``tmp`` the logits, their sigmoids, the loss gradient at the
+    logits and a scratch vector. ``grad`` is one flat gradient in the
+    net's parameter layout (:meth:`ClassifierNet.from_flat`) and ``grads``
+    its views in ``net.parameters()`` order. A step on fewer rows uses the
+    leading rows of each buffer.
+    """
+
+    def __init__(self, net: ClassifierNet, rows: int):
+        widths = [w.shape[0] for w in net.weights[:-1]]
+        self.rows = np.empty((rows, net.input_dim))
+        self.acts = [np.empty((rows, h)) for h in widths]
+        self.backs = [np.empty((rows, h)) for h in widths]
+        self.mask = np.empty(rows * max(widths, default=0), dtype=bool)
+        self.z, self.s, self.g, self.tmp = (np.empty(rows) for _ in range(4))
+        shapes = [p.shape for p in net.parameters()]
+        self.grad = np.empty(sum(math.prod(shape) for shape in shapes))
+        self.grads = ClassifierNet.from_flat(self.grad, shapes).parameters()
+
+
 def bnre_loss_grads(net: ClassifierNet, feats_j: np.ndarray, feats_m: np.ndarray,
-                    lam: float) -> tuple[float, list[np.ndarray]]:
+                    lam: float, buffers: StepBuffers | None = None
+                    ) -> tuple[float, list[np.ndarray]]:
     """Balanced loss and its gradient in ``net.parameters()`` order.
 
     One forward over the stacked joint and marginal rows caches the hidden
@@ -202,26 +236,53 @@ def bnre_loss_grads(net: ClassifierNet, feats_j: np.ndarray, feats_m: np.ndarray
     is -expit(-z)/(2n) + 2 lambda (B - 1) s (1 - s)/n on joint rows and
     s/(2n) + 2 lambda (B - 1) s (1 - s)/n on marginal rows; backprop through
     the ReLU masks turns it into the parameter gradients.
+
+    Every array is written into ``buffers``, or into fresh ones sized to the
+    inputs when none are given. The returned gradients are views of
+    ``buffers.grad``, which the next call on the same buffers overwrites.
     """
     nj, nm = len(feats_j), len(feats_m)
-    hs = [np.concatenate([feats_j, feats_m], axis=0)]
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        h = hs[-1] @ w.T
+    n = nj + nm
+    if buffers is None:
+        buffers = StepBuffers(net, n)
+    elif len(buffers.rows) < n:
+        raise ValueError(f"buffers hold {len(buffers.rows)} rows, the step needs {n}")
+    x = buffers.rows[:n]
+    # numpy skips these copies when the inputs already are these rows, as in train
+    x[:nj] = feats_j
+    x[nj:] = feats_m
+    hs = [x]
+    for w, b, act in zip(net.weights[:-1], net.biases[:-1], buffers.acts):
+        h = np.matmul(hs[-1], w.T, out=act[:n])
         h += b
         hs.append(np.maximum(h, 0.0, out=h))
-    z = (hs[-1] @ net.weights[-1].T + net.biases[-1]).reshape(-1)
+    z, s, g, tmp = buffers.z[:n], buffers.s[:n], buffers.g[:n], buffers.tmp[:n]
+    np.matmul(hs[-1], net.weights[-1].T, out=z[:, None])
+    z += net.biases[-1]
     loss, b = _loss_and_balance(z[:nj], z[nj:], lam)
-    s = expit(z)
-    pen = (2.0 * lam * (b - 1.0)) * s * (1.0 - s)
-    g = np.concatenate([(pen[:nj] - 0.5 * expit(-z[:nj])) / nj,
-                        (pen[nj:] + 0.5 * s[nj:]) / nm])[:, None]
-    grad_w, grad_b = [], []
-    for k in range(len(net.weights) - 1, -1, -1):
-        grad_w.append(g.T @ hs[k])
-        grad_b.append(g.sum(axis=0))
+    # the formulas above, one operation at a time in their order of operations
+    expit(z, out=s)
+    np.multiply(2.0 * lam * (b - 1.0), s, out=g)
+    g *= np.subtract(1.0, s, out=tmp)
+    g[:nj] -= np.multiply(0.5, expit(np.negative(z[:nj], out=tmp[:nj]), out=tmp[:nj]),
+                          out=tmp[:nj])
+    g[:nj] /= nj
+    g[nj:] += np.multiply(0.5, s[nj:], out=tmp[nj:])
+    g[nj:] /= nm
+    g = g[:, None]
+    n_layers = len(net.weights)
+    for k in range(n_layers - 1, -1, -1):
+        np.matmul(g.T, hs[k], out=buffers.grads[k])
+        np.sum(g, axis=0, out=buffers.grads[n_layers + k])
         if k:
-            g = (g @ net.weights[k]) * (hs[k] > 0.0)
-    return loss, grad_w[::-1] + grad_b[::-1]
+            back = buffers.backs[k - 1][:n]
+            if k == n_layers - 1:  # one logit: a broadcast product, cheaper than a K=1 matmul
+                np.multiply(g, net.weights[k], out=back)
+            else:
+                np.matmul(g, net.weights[k], out=back)
+            back *= np.greater(hs[k], 0.0, out=buffers.mask[:back.size].reshape(back.shape))
+            g = back
+    return loss, buffers.grads
 
 
 def finite_diff_check(net: ClassifierNet, feats_j: np.ndarray, feats_m: np.ndarray,
@@ -297,6 +358,10 @@ def train(benchmark: Benchmark, dataset: Dataset, config: TrainConfig
     flat = np.concatenate([p.ravel() for p in init.parameters()])
     net = ClassifierNet.from_flat(flat, shapes)
     state = OptimizerState.for_params([flat], lr=config.learning_rate)
+    # each step gathers its rows into, and computes in, arrays made once here
+    buffers = StepBuffers(net, config.batch_size)
+    marginal_x = np.empty((config.batch_size // 2, f_x.shape[1]))
+    theta_cols = f_theta.shape[1]
 
     history = TrainHistory(train_indices=train_idx.copy(), val_indices=val_idx.copy())
     best_loss = math.inf
@@ -307,16 +372,22 @@ def train(benchmark: Benchmark, dataset: Dataset, config: TrainConfig
         epoch_loss = 0.0
         for local_j, local_m in epoch_index_pairs(n_train, config.batch_size, rng_batch):
             ji, qi = train_idx[local_j], train_idx[local_m]
-            feats_j = joint_feats[ji]
-            feats_m = np.concatenate([f_theta[ji], f_x[qi]], axis=1)
-            loss_value, grads = bnre_loss_grads(net, feats_j, feats_m, config.lam)
+            half = len(ji)
+            feats_j, feats_m = buffers.rows[:half], buffers.rows[half:2 * half]
+            # mode="clip" writes straight into ``out``; "raise" would buffer
+            # it, and the indices are in range by construction
+            np.take(joint_feats, ji, axis=0, out=feats_j, mode="clip")
+            feats_m[:, :theta_cols] = feats_j[:, :theta_cols]
+            feats_m[:, theta_cols:] = np.take(f_x, qi, axis=0, out=marginal_x[:half],
+                                              mode="clip")
+            loss_value, _ = bnre_loss_grads(net, feats_j, feats_m, config.lam, buffers)
             if math.isnan(loss_value):
                 raise TrainingDiverged("NaN training loss", history)
             try:
-                adam_step([flat], [np.concatenate([g.ravel() for g in grads])], state)
+                adam_step([flat], [buffers.grad], state)
             except DivergenceError as err:
                 raise TrainingDiverged(str(err), history) from err
-            epoch_loss += loss_value * len(ji)
+            epoch_loss += loss_value * half
 
         zj_val = net.logits(val_joint_feats)
         zm_val = net.logits(val_marg_feats)

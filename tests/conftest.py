@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import bnre
 from bnre import TrainConfig, generate_dataset, get_benchmark, train
 from bnre.rng import stable_seed
 
@@ -51,3 +58,15 @@ def batch_away_from_kinks(net, rng, n_rows, margin=1e-3, max_tries=500):
         if ok:
             return x
     raise AssertionError("could not sample a batch away from ReLU kinks")
+
+
+def run_fresh_python(code: str, timeout: float = 300.0):
+    """Run ``code`` in a fresh interpreter that imports this bnre; return its
+    last stdout line, parsed as JSON."""
+    src = str(Path(bnre.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=timeout)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])

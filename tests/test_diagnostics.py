@@ -14,6 +14,8 @@ from bnre.ratio import PosteriorGrid, tractable_posterior_grid
 from bnre.rng import substream
 from bnre.simulators import generate_dataset
 
+from conftest import run_fresh_python
+
 
 def grid_from_masses(masses):
     """1-d grid with unit cell volume whose densities are the given masses."""
@@ -302,6 +304,26 @@ class TestSbcRanks:
     def test_too_few_samples_rejected(self, tractable_benchmark):
         with pytest.raises(ValueError):
             sbc_ranks(lambda x: None, [], substream("x", 0), samples_per_posterior=50)
+
+    def test_reports_kstests_exact_statistic_and_pvalue(self, tractable_benchmark):
+        from scipy import stats
+
+        test = generate_dataset(tractable_benchmark, 30, seed=24, namespace="test")
+        result = sbc_ranks(
+            lambda x: tractable_posterior_grid(tractable_benchmark, x),
+            list(zip(test.theta, test.x)), substream("sbc-ks", 0),
+            samples_per_posterior=100)
+        ks = stats.kstest(result.ranks, "uniform")
+        assert result.ks_distance == float(ks.statistic)
+        assert result.ks_pvalue == float(ks.pvalue)
+
+    def test_importing_bnre_does_not_import_scipy_stats(self):
+        # sbc_ranks imports it on first use; nothing else in bnre needs it
+        loaded = run_fresh_python(
+            "import json, sys\n"
+            "import bnre, bnre.harness, bnre.cli\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy.stats'))))")
+        assert loaded == []
 
 
 class TestBalanceTheorems:

@@ -130,6 +130,29 @@ class TestRunExperiment:
         assert path.stat().st_mtime_ns == before
 
 
+class TestRunDocCounters:
+    def test_run_doc_explains_its_training_and_data(self, tmp_path):
+        config = tiny_config(tmp_path, budgets=(128,), seeds=(0,), methods=("bnre",),
+                             epochs=20, learning_rate=1e-2)
+        run_experiment(config)
+        slug = "tractable1d_b128_s0_bnre_lam100"
+        doc = json.loads((tmp_path / "runs" / f"{slug}.json").read_text())
+        rows = [line.split(",") for line in
+                (tmp_path / "history" / f"{slug}.csv").read_text().splitlines()[1:]]
+        val_loss = [float(r[2]) for r in rows]
+        lr = [float(r[4]) for r in rows]
+        best = val_loss.index(min(val_loss))
+        assert doc["best_epoch"] == best
+        assert doc["balance_at_best"] == float(rows[best][3])
+        assert doc["lr_drop_epochs"] == [e for e in range(1, len(lr)) if lr[e] < lr[e - 1]]
+        assert doc["lr_drop_epochs"]  # this run's plateau schedule fires
+        train_set = load_dataset(tmp_path / "datasets" / "tractable1d_b128_s0.bnre")
+        test_set = generate_dataset(get_benchmark("tractable1d"), config.n_test,
+                                    config.test_seed, namespace="test")
+        assert doc["regenerated"] == {"train": train_set.failures,
+                                      "test": test_set.failures}
+
+
 TABLES = ("results.csv", "aggregate.csv", "timing.csv", "report.json")
 
 

@@ -265,6 +265,32 @@ class TestAdam:
         for a, b in zip(results[0], results[1]):
             assert np.array_equal(a, b)
 
+    def test_in_place_update_is_bitwise_equal_to_the_formula(self):
+        def reference_step(params, grads, m_list, v_list, t, lr):
+            bc1, bc2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+            for p, g, m, v in zip(params, grads, m_list, v_list):
+                m *= 0.9
+                m += (1.0 - 0.9) * g
+                v *= 0.999
+                v += (1.0 - 0.999) * (g * g)
+                p -= lr * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
+
+        # parameters start at zero, so the low bits of each update show in them
+        params = [np.zeros((8, 3)), np.zeros(8), np.zeros(1)]
+        state = OptimizerState.for_params(params, lr=1e-3)
+        ref = [p.copy() for p in params]
+        ref_m, ref_v = [np.zeros_like(p) for p in ref], [np.zeros_like(p) for p in ref]
+        rng = np.random.default_rng(13)
+        for t in range(1, 41):
+            grads = [rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 3)
+                     for p in params]
+            if t == 20:
+                state.lr /= 10.0
+            adam_step(params, grads, state)
+            reference_step(ref, grads, ref_m, ref_v, t, state.lr)
+        for got, want in zip(params + state.m + state.v, ref + ref_m + ref_v):
+            assert got.tobytes() == want.tobytes()
+
     def test_nan_gradient_aborts(self):
         net, params, state = self._net_and_state()
         grads = [np.zeros_like(p) for p in params]

@@ -15,9 +15,9 @@ from bnre.simulators import generate_dataset, get_benchmark
 from bnre.training import (TrainConfig, TrainingDiverged, balance_statistic,
                            bce_loss, bnre_loss, bnre_loss_grads, bnre_loss_var,
                            derangement_against, epoch_index_pairs, forward_on_tape,
-                           train)
+                           StepBuffers, TrainHistory, train)
 
-from conftest import random_net
+from conftest import random_net, run_fresh_python
 
 
 class TestBatchConstruction:
@@ -156,6 +156,38 @@ class TestFusedGradient:
                 assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+class TestStepBuffers:
+    """bnre_loss_grads on buffers made once, as train calls it."""
+
+    @staticmethod
+    def _as_bytes(loss, grads):
+        return [np.float64(loss).tobytes()] + [g.tobytes() for g in grads]
+
+    @pytest.mark.parametrize("lam", [0.0, 100.0])
+    def test_buffered_calls_are_bitwise_equal_to_fresh_buffers(self, lam):
+        rng = substream("step-buffers", int(lam))
+        net = random_net(rng, [5, 64, 32, 48, 1])
+        buffers = StepBuffers(net, 256)
+        for n in (128, 77, 128):  # a tail chunk between two full half-batches
+            feats_j = rng.uniform(-2.0, 2.0, size=(n, net.input_dim))
+            feats_m = rng.uniform(-2.0, 2.0, size=(n, net.input_dim))
+            fresh = self._as_bytes(*bnre_loss_grads(net, feats_j, feats_m, lam))
+            loss, grads = bnre_loss_grads(net, feats_j, feats_m, lam, buffers)
+            assert self._as_bytes(loss, grads) == fresh
+            assert all(np.shares_memory(g, buffers.grad) for g in grads)
+            # inputs gathered into the buffer's own rows, as in train
+            buffers.rows[:n], buffers.rows[n:2 * n] = feats_j, feats_m
+            in_place = bnre_loss_grads(net, buffers.rows[:n], buffers.rows[n:2 * n], lam,
+                                       buffers)
+            assert self._as_bytes(*in_place) == fresh
+
+    def test_too_small_buffers_rejected(self):
+        net = random_net(substream("small-buffers", 0), [3, 8, 1])
+        feats = np.zeros((5, 3))
+        with pytest.raises(ValueError, match="rows"):
+            bnre_loss_grads(net, feats, feats, 1.0, StepBuffers(net, 8))
+
+
 class TestTabularOptimum:
     """NRE and BNRE share the cross-entropy optimum on exact discrete joints."""
 
@@ -182,6 +214,12 @@ class TestTabularOptimum:
             adam_step([z], [zv.grad], state)
         from scipy.special import expit
         assert np.max(np.abs(expit(z) - toy.bayes_optimal)) <= 1e-3
+
+
+def test_lr_drop_epochs_are_the_epochs_that_ran_at_a_lower_rate():
+    history = TrainHistory(lr=[1e-3, 1e-3, 1e-4, 1e-4, 1e-4, 1e-5])
+    assert history.lr_drop_epochs == [2, 5]
+    assert TrainHistory(lr=[1e-3]).lr_drop_epochs == []
 
 
 class TestTrainConfig:
@@ -273,6 +311,68 @@ class TestTraining:
         finally:
             setter(original)
         assert seen and set(seen) == {1}
+
+    def test_steps_gather_joint_and_marginal_rows_into_their_buffers(self, tractable,
+                                                                     monkeypatch):
+        dataset = generate_dataset(tractable, 300, seed=8)
+        config = TrainConfig(epochs=2, batch_size=32, seed=3)
+        f_theta = tractable.theta_features(dataset.theta[:, list(tractable.inference_dims)])
+        f_x = tractable.x_features(dataset.x)
+        cols = f_theta.shape[1]
+        grads, batches = training.bnre_loss_grads, []
+
+        def checking(net, feats_j, feats_m, lam, buffers):
+            fresh = grads(net, feats_j.copy(), feats_m.copy(), lam)
+            loss, got = grads(net, feats_j, feats_m, lam, buffers)
+            assert [np.float64(loss).tobytes()] + [g.tobytes() for g in got] == (
+                [np.float64(fresh[0]).tobytes()] + [g.tobytes() for g in fresh[1]])
+            batches.append((feats_j.copy(), feats_m.copy()))
+            return loss, got
+
+        monkeypatch.setattr(training, "bnre_loss_grads", checking)
+        _, history = train(tractable, dataset, config)
+        idx = history.train_indices
+        per_epoch = math.ceil(len(idx) / (config.batch_size // 2))
+        assert len(batches) == config.epochs * per_epoch
+        assert len(batches[-1][0]) < config.batch_size // 2  # a tail chunk ran
+
+        def rows(a):
+            return sorted(map(tuple, a))
+
+        for e in range(config.epochs):
+            joint = np.concatenate([j for j, _ in batches[e * per_epoch:(e + 1) * per_epoch]])
+            marg = np.concatenate([m for _, m in batches[e * per_epoch:(e + 1) * per_epoch]])
+            assert rows(joint) == rows(np.concatenate([f_theta, f_x], axis=1)[idx])
+            assert np.array_equal(marg[:, :cols], joint[:, :cols])
+            assert rows(marg[:, cols:]) == rows(f_x[idx])
+            assert not np.any(np.all(marg[:, cols:] == joint[:, cols:], axis=1))
+
+    def test_training_steps_do_not_fault_memory_in(self):
+        # A fresh process that has not imported scipy.stats keeps glibc's
+        # default mmap and trim thresholds; arrays allocated and freed on
+        # every step then fault their pages in again on every step. Epoch 1
+        # is left out: its validation pass builds the forward's per-thread
+        # buffers once per process.
+        epochs, budget = 4, 2 ** 13
+        out = run_fresh_python(
+            "import json, resource, sys\n"
+            "from bnre import training\n"
+            "from bnre.simulators import generate_dataset, get_benchmark\n"
+            "benchmark = get_benchmark('tractable1d')\n"
+            f"dataset = generate_dataset(benchmark, {budget}, seed=0)\n"
+            "faults, adam_step = [], training.adam_step\n"
+            "def counting(*args):\n"
+            "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)\n"
+            "    return adam_step(*args)\n"
+            "training.adam_step = counting\n"
+            f"training.train(benchmark, dataset, training.TrainConfig(epochs={epochs}))\n"
+            "print(json.dumps({'faults': faults, 'scipy_stats': 'scipy.stats' in sys.modules}))")
+        assert not out["scipy_stats"]
+        faults = out["faults"]
+        per_epoch = len(faults) // epochs
+        assert len(faults) == epochs * per_epoch
+        per_step = (faults[-1] - faults[per_epoch]) / (len(faults) - 1 - per_epoch)
+        assert per_step <= 2.0
 
     def test_nan_input_aborts_with_history(self, tractable):
         dataset = generate_dataset(tractable, 256, seed=4)
