@@ -7,13 +7,11 @@ simulation-based calibration. Includes stochastic benchmark simulators and
 an experiment harness with a CLI front end.
 """
 
-from .diagnostics import (CoverageCurve, DiscreteToy, SbcResult, bias_variance,
-                          coverage_auc, expected_coverage, expected_log_posterior,
-                          hpd_threshold, run_theorem_battery, sbc_ranks,
-                          verify_balance_theorems)
+from .diagnostics import (CoverageCurve, DiscreteToy, SbcResult, coverage_auc,
+                          hpd_threshold, run_theorem_battery, verify_balance_theorems)
 from .harness import ExperimentConfig, ResultsTable, lambda_sweep, run_experiment
 from .nets import ClassifierNet, load_weights, save_weights
-from .ratio import PosteriorGrid, log_posterior_at, log_ratio, posterior_grid
+from .ratio import PosteriorGrid, posterior_grid
 from .simulators import (Benchmark, Dataset, benchmark_names, generate_dataset,
                          get_benchmark, load_dataset, sample_prior, save_dataset,
                          simulate)
@@ -35,26 +33,20 @@ __all__ = [
     "TrainHistory",
     "bce_loss",
     "benchmark_names",
-    "bias_variance",
     "bnre_loss",
     "coverage_auc",
-    "expected_coverage",
-    "expected_log_posterior",
     "generate_dataset",
     "get_benchmark",
     "hpd_threshold",
     "lambda_sweep",
     "load_dataset",
     "load_weights",
-    "log_posterior_at",
-    "log_ratio",
     "posterior_grid",
     "run_experiment",
     "run_theorem_battery",
     "sample_prior",
     "save_dataset",
     "save_weights",
-    "sbc_ranks",
     "simulate",
     "train",
     "verify_balance_theorems",

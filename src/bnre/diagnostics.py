@@ -8,6 +8,10 @@ the signed area between it and the diagonal. Bias/variance decompose the
 expected squared error of the posterior around the ground truth, and SBC
 ranks test the uniformity implied by a faithful posterior.
 
+The per-pair functions (coverage indicators, SBC rank) take one grid;
+``harness.diagnose_pairs`` calls them once per test pair, and the batch
+reductions turn its ``[n, ...]`` arrays into the reported numbers.
+
 Ties in grid density are resolved conservatively: every cell tied at the
 threshold joins the credible region, and the achieved mass is reported. The
 theorem checks run on small discrete joint tables where every expectation is
@@ -18,7 +22,6 @@ machine precision.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,11 +38,12 @@ __all__ = [
     "hpd_threshold",
     "hpd_mass_at",
     "coverage_indicators",
-    "expected_coverage",
+    "coverage_curve",
     "coverage_auc",
-    "expected_log_posterior",
-    "bias_variance",
-    "sbc_ranks",
+    "mean_log_density",
+    "scaled_bias_variance",
+    "sbc_rank",
+    "sbc_uniformity",
     "verify_balance_theorems",
     "temper_to_balance",
     "TheoremBatteryResult",
@@ -123,38 +127,31 @@ def coverage_indicators(grid: PosteriorGrid, theta_star: np.ndarray,
     return (levels > strict) | (levels >= inclusive)
 
 
-def _auc_from_curve(levels: np.ndarray, values: np.ndarray) -> float:
-    # trapezoid of the curve over [0, 1] (edge-value extension to the
-    # endpoints) minus the exact diagonal area: an always-covering curve
-    # integrates to +1/2, a never-covering one to -1/2, the diagonal to 0
+def _auc_from_curve(levels: np.ndarray, values: np.ndarray) -> np.ndarray:
+    # trapezoid of each curve (last axis) over [0, 1] (edge-value extension
+    # to the endpoints) minus the exact diagonal area: an always-covering
+    # curve integrates to +1/2, a never-covering one to -1/2, the diagonal to 0
     xs = np.concatenate([[0.0], levels, [1.0]])
-    ys = np.concatenate([[values[0]], values, [values[-1]]])
-    return float(np.trapezoid(ys, xs) - 0.5)
+    ys = np.concatenate([values[..., :1], values, values[..., -1:]], axis=-1)
+    return np.trapezoid(ys, xs, axis=-1) - 0.5
 
 
-def expected_coverage(posterior_fn, test_set, levels=DEFAULT_LEVELS) -> CoverageCurve:
-    """Fraction of test pairs whose theta* falls in its credible region.
+def coverage_curve(indicators: np.ndarray, levels: np.ndarray) -> CoverageCurve:
+    """Expected coverage from per-pair indicators ``[n, L]`` at ``levels``.
 
-    ``posterior_fn`` maps an observable to a :class:`PosteriorGrid`;
-    ``test_set`` iterates (theta_star, x) pairs held out from training.
     Per-level binomial standard errors and a propagated AUC standard error
     (from per-pair signed areas) are attached.
     """
     levels = np.asarray(levels, dtype=np.float64)
     if levels.size < 1 or np.any(levels <= 0.0) or np.any(levels >= 1.0):
         raise ValueError("levels must lie strictly inside (0, 1)")
-    rows = []
-    for theta_star, x in test_set:
-        grid = posterior_fn(x)
-        rows.append(coverage_indicators(grid, theta_star, levels))
-    indicators = np.asarray(rows, dtype=np.float64)
+    indicators = np.asarray(indicators, dtype=np.float64)
     n = indicators.shape[0]
     coverage = indicators.mean(axis=0)
     se = np.sqrt(coverage * (1.0 - coverage) / n)
-    per_pair_auc = np.array([_auc_from_curve(levels, row) for row in indicators])
-    auc = float(per_pair_auc.mean())
+    per_pair_auc = _auc_from_curve(levels, indicators)
     auc_se = float(per_pair_auc.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
-    return CoverageCurve(levels, coverage, n, se, auc, auc_se)
+    return CoverageCurve(levels, coverage, n, se, float(per_pair_auc.mean()), auc_se)
 
 
 def coverage_auc(curve: CoverageCurve) -> float:
@@ -166,52 +163,32 @@ def coverage_auc(curve: CoverageCurve) -> float:
     """
     if curve.levels.size < 2:
         raise ValueError("need at least two levels to integrate")
-    return _auc_from_curve(curve.levels, curve.coverage)
+    return float(_auc_from_curve(curve.levels, curve.coverage))
 
 
-def expected_log_posterior(posterior_fn, test_set) -> float:
-    """Mean log normalized grid density at the ground-truth cells.
+def mean_log_density(densities: np.ndarray) -> tuple[float, int]:
+    """Expected log posterior from the grid densities at the ground truths.
 
-    Zero-density cells contribute log(1e-300); a warning reports how many
-    pairs were floored.
+    Densities below 1e-300 (zero-density cells) are floored to it; returns
+    the mean log density and how many pairs were floored.
     """
-    values = []
-    floored = 0
-    for theta_star, x in test_set:
-        grid = posterior_fn(x)
-        d = grid.density_at(theta_star)
-        if d <= 0.0:
-            floored += 1
-            d = DENSITY_FLOOR
-        values.append(math.log(d))
-    if floored:
-        warnings.warn(f"{floored}/{len(values)} test points hit zero-density cells",
-                      RuntimeWarning, stacklevel=2)
-    return float(np.mean(values))
+    densities = np.asarray(densities, dtype=np.float64)
+    floored = int(np.count_nonzero(densities < DENSITY_FLOOR))
+    return float(np.log(np.maximum(densities, DENSITY_FLOOR)).mean()), floored
 
 
-def bias_variance(posterior_fn, test_set, scaled: bool = True) -> tuple[float, float]:
+def scaled_bias_variance(theta_star: np.ndarray, means: np.ndarray, moments: np.ndarray,
+                         prior_var: np.ndarray) -> tuple[float, float]:
     """Posterior bias and variance around the ground truth, averaged over pairs.
 
-    Bias is the squared distance between the grid mean and theta*, variance
-    the grid's second central moment, each summed over dimensions. With
-    ``scaled`` (the default) every dimension is divided by the prior
-    variance implied by the grid's box, making benchmarks comparable.
+    Bias is the squared distance between a pair's grid mean and theta*,
+    variance its grid second central moment; both are ``[n, d]`` inputs,
+    divided per dimension by ``prior_var`` (ones leave them unscaled) and
+    summed over dimensions.
     """
-    biases = []
-    variances = []
-    for theta_star, x in test_set:
-        grid = posterior_fn(x)
-        theta_star = np.atleast_1d(np.asarray(theta_star, dtype=np.float64))
-        if scaled:
-            widths = np.array([w * len(a) for w, a in zip(grid.cell_widths, grid.axes)])
-            prior_var = widths ** 2 / 12.0
-        else:
-            prior_var = np.ones(grid.ndim)
-        mean = grid.mean()
-        biases.append(float(np.sum((mean - theta_star) ** 2 / prior_var)))
-        variances.append(float(np.sum(grid.second_central_moment() / prior_var)))
-    return float(np.mean(biases)), float(np.mean(variances))
+    bias = np.sum((means - theta_star) ** 2 / prior_var, axis=1)
+    variance = np.sum(moments / prior_var, axis=1)
+    return float(bias.mean()), float(variance.mean())
 
 
 @dataclass
@@ -224,42 +201,37 @@ class SbcResult:
     degenerate: bool
 
 
-def sbc_ranks(posterior_fn, test_set, rng: np.random.Generator,
-              samples_per_posterior: int = 256, statistic: str = "density",
-              statistic_dim: int = 0) -> SbcResult:
-    """Rank of each theta* among posterior draws under a scalar statistic.
+def sbc_rank(grid: PosteriorGrid, theta_star: np.ndarray, rng: np.random.Generator,
+             samples: int, dim: int | None = None) -> float:
+    """Rank of theta* among ``samples`` draws from the grid posterior.
 
-    The default statistic is the grid posterior density itself; ranks are
+    The statistic is the grid density itself (``dim=None``) or coordinate
+    ``dim``, with draws jittered uniformly within their cells. The rank is
     the fraction of draws whose statistic is <= the ground truth's, which is
-    uniform on [0, 1] for a faithful posterior. ``statistic="identity"``
-    ranks a single coordinate instead (draws jittered uniformly within their
-    cells). Returns the ranks plus the one-sample Kolmogorov-Smirnov
-    distance and p-value against U(0, 1). A flat statistic makes every rank
-    1.0 via the <= tie rule; such results are flagged degenerate.
+    uniform on [0, 1] for a faithful posterior.
     """
-    if samples_per_posterior < 100:
-        raise ValueError("samples_per_posterior must be >= 100")
-    if statistic not in ("density", "identity"):
-        raise ValueError("statistic must be 'density' or 'identity'")
-    ranks = []
-    for theta_star, x in test_set:
-        grid = posterior_fn(x)
-        theta_star = np.atleast_1d(np.asarray(theta_star, dtype=np.float64))
-        masses = grid.cell_masses.reshape(-1)
-        cum = np.cumsum(masses)
-        u = rng.random(samples_per_posterior) * cum[-1]
-        cells = np.minimum(np.searchsorted(cum, u), masses.size - 1)
-        if statistic == "density":
-            f_draws = grid.densities.reshape(-1)[cells]
-            f_star = grid.density_at(theta_star)
-        else:
-            d = statistic_dim
-            idx = np.unravel_index(cells, grid.densities.shape)[d]
-            jitter = (rng.random(samples_per_posterior) - 0.5) * grid.cell_widths[d]
-            f_draws = grid.axes[d][idx] + jitter
-            f_star = theta_star[d]
-        ranks.append(float(np.mean(f_draws <= f_star)))
-    ranks = np.asarray(ranks)
+    masses = grid.cell_masses.reshape(-1)
+    cum = np.cumsum(masses)
+    u = rng.random(samples) * cum[-1]
+    cells = np.minimum(np.searchsorted(cum, u), masses.size - 1)
+    if dim is None:
+        f_draws = grid.densities.reshape(-1)[cells]
+        f_star = grid.density_at(theta_star)
+    else:
+        idx = np.unravel_index(cells, grid.densities.shape)[dim]
+        jitter = (rng.random(samples) - 0.5) * grid.cell_widths[dim]
+        f_draws = grid.axes[dim][idx] + jitter
+        f_star = theta_star[dim]
+    return float(np.mean(f_draws <= f_star))
+
+
+def sbc_uniformity(ranks: np.ndarray) -> SbcResult:
+    """One-sample Kolmogorov-Smirnov test of SBC ranks against U(0, 1).
+
+    A flat statistic makes every rank 1.0 via the <= tie rule; such results
+    are flagged degenerate.
+    """
+    ranks = np.asarray(ranks, dtype=np.float64)
     # imported here: scipy.stats costs about a second and 45 MiB to import,
     # and nothing else in bnre needs it
     from scipy import stats

@@ -24,14 +24,15 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit
 
-from .diagnostics import (DEFAULT_LEVELS, CoverageCurve, _auc_from_curve,
-                          coverage_indicators, sbc_ranks)
+from .diagnostics import (DEFAULT_LEVELS, CoverageCurve, coverage_curve,
+                          coverage_indicators, mean_log_density, sbc_rank,
+                          sbc_uniformity, scaled_bias_variance)
 from .files import replacing
 from .nets import keep_blocks_on_caller, load_weights, save_weights
-from .ratio import posterior_grid
+from .ratio import DegenerateGridError, posterior_grid
 from .rng import stable_seed, substream
-from .simulators import (Benchmark, Dataset, generate_dataset, get_benchmark,
-                         load_dataset, save_dataset)
+from .simulators import (Benchmark, Dataset, RegenerationExhausted, generate_dataset,
+                         get_benchmark, load_dataset, save_dataset)
 from .training import TrainConfig, TrainingDiverged, derangement_against, train
 
 __all__ = [
@@ -41,6 +42,8 @@ __all__ = [
     "ResultsTable",
     "run_experiment",
     "lambda_sweep",
+    "PairDiagnostics",
+    "diagnose_pairs",
     "evaluate_net",
     "write_report",
     "save_dataset",
@@ -95,6 +98,10 @@ class ExperimentConfig:
                             (self.n_test >= 2, "n_test must be >= 2"),
                             (self.workers >= 1, "workers must be >= 1"),
                             (self.epochs >= 1, "epochs must be >= 1"),
+                            (all(b >= self.batch_size for b in budgets),
+                             "budgets must each be >= batch_size"),
+                            (all(0.0 < v < 1.0 for v in self.levels),
+                             "levels must lie strictly inside (0, 1)"),
                             (self.sbc_samples == 0 or self.sbc_samples >= 100,
                              "sbc_samples must be 0 (off) or >= 100")):
             if not ok:
@@ -288,6 +295,50 @@ def _test_pairs(benchmark: Benchmark, dataset: Dataset) -> list[tuple[np.ndarray
     return [(dataset.theta[i, dims], dataset.x[i]) for i in range(len(dataset))]
 
 
+@dataclass
+class PairDiagnostics:
+    """Per-test-pair quantities from one grid posterior each.
+
+    ``sbc_ranks`` is None unless SBC ranks were drawn.
+    """
+
+    theta_star: np.ndarray        # [n, d]
+    indicators: np.ndarray        # [n, L] coverage indicators
+    densities: np.ndarray         # [n] grid density at theta*
+    means: np.ndarray             # [n, d] grid means
+    moments: np.ndarray           # [n, d] grid second central moments
+    sbc_ranks: np.ndarray | None  # [n]
+
+
+def diagnose_pairs(posterior_fn, pairs, levels=DEFAULT_LEVELS, sbc_samples: int = 0,
+                   sbc_rng: np.random.Generator | None = None,
+                   sbc_dim: int | None = None) -> PairDiagnostics:
+    """Build each (theta*, x) pair's grid once and keep only its small results.
+
+    ``posterior_fn`` maps an observable to a :class:`PosteriorGrid`. With
+    ``sbc_samples`` > 0 each pair's SBC rank is drawn from its grid, in pair
+    order, from ``sbc_rng`` (see :func:`diagnostics.sbc_rank` for
+    ``sbc_dim``). No grid outlives its pair.
+    """
+    if sbc_samples and sbc_samples < 100:
+        raise ValueError("sbc_samples must be 0 (off) or >= 100")
+    levels = np.asarray(levels, dtype=np.float64)
+    thetas, indicators, densities, means, moments, ranks = [], [], [], [], [], []
+    for theta_star, x in pairs:
+        grid = posterior_fn(x)
+        theta_star = np.atleast_1d(np.asarray(theta_star, dtype=np.float64))
+        thetas.append(theta_star)
+        indicators.append(coverage_indicators(grid, theta_star, levels))
+        densities.append(grid.density_at(theta_star))
+        means.append(grid.mean())
+        moments.append(grid.second_central_moment())
+        if sbc_samples:
+            ranks.append(sbc_rank(grid, theta_star, sbc_rng, sbc_samples, sbc_dim))
+    return PairDiagnostics(np.asarray(thetas), np.asarray(indicators, dtype=bool),
+                           np.asarray(densities), np.asarray(means), np.asarray(moments),
+                           np.asarray(ranks) if sbc_samples else None)
+
+
 def evaluate_net(net, benchmark: Benchmark, test_set: Dataset,
                  levels=DEFAULT_LEVELS, sbc_samples: int = 0,
                  sbc_rng: np.random.Generator | None = None,
@@ -295,35 +346,19 @@ def evaluate_net(net, benchmark: Benchmark, test_set: Dataset,
     """All posterior diagnostics for one trained classifier in one grid pass.
 
     Returns coverage curve, coverage AUC (+ propagated SE), expected log
-    posterior, scaled bias/variance, the classifier's balance gap |B - 1| on
-    the test set, and optionally SBC ranks.
+    posterior and the number of floored test densities, scaled
+    bias/variance, the classifier's balance gap |B - 1| on the test set,
+    and optionally SBC ranks.
     """
     levels = np.asarray(levels, dtype=np.float64)
-    pairs = _test_pairs(benchmark, test_set)
-    indicators = []
-    log_dens = []
-    biases = []
-    variances = []
-    prior_var = benchmark.inference_prior.variances
-    grids = []
-    for theta_star, x in pairs:
-        grid = posterior_grid(net, benchmark, x)
-        indicators.append(coverage_indicators(grid, theta_star, levels))
-        d = max(grid.density_at(theta_star), 1e-300)
-        log_dens.append(np.log(d))
-        mean = grid.mean()
-        biases.append(float(np.sum((mean - theta_star) ** 2 / prior_var)))
-        variances.append(float(np.sum(grid.second_central_moment() / prior_var)))
-        if sbc_samples:
-            grids.append(grid)
-
-    indicators = np.asarray(indicators, dtype=np.float64)
-    n = len(pairs)
-    coverage = indicators.mean(axis=0)
-    se = np.sqrt(coverage * (1.0 - coverage) / n)
-    per_pair_auc = np.array([_auc_from_curve(levels, row) for row in indicators])
-    curve = CoverageCurve(levels, coverage, n, se, float(per_pair_auc.mean()),
-                          float(per_pair_auc.std(ddof=1) / np.sqrt(n)))
+    per_pair = diagnose_pairs(lambda x: posterior_grid(net, benchmark, x),
+                              _test_pairs(benchmark, test_set), levels, sbc_samples,
+                              sbc_rng or np.random.default_rng(1))
+    curve = coverage_curve(per_pair.indicators, levels)
+    elp, floored = mean_log_density(per_pair.densities)
+    bias, variance = scaled_bias_variance(per_pair.theta_star, per_pair.means,
+                                          per_pair.moments,
+                                          benchmark.inference_prior.variances)
 
     # balance of the deployed classifier over the held-out set
     dims = list(benchmark.inference_dims)
@@ -339,16 +374,14 @@ def evaluate_net(net, benchmark: Benchmark, test_set: Dataset,
         "curve": curve,
         "coverage_auc": curve.auc,
         "coverage_auc_se": curve.auc_se,
-        "expected_log_posterior": float(np.mean(log_dens)),
-        "bias": float(np.mean(biases)),
-        "variance": float(np.mean(variances)),
+        "expected_log_posterior": elp,
+        "floored_densities": floored,
+        "bias": bias,
+        "variance": variance,
         "balance_gap": balance_gap,
     }
     if sbc_samples:
-        cache = iter(grids)
-        result["sbc"] = sbc_ranks(lambda x: next(cache), pairs,
-                                  sbc_rng or np.random.default_rng(1),
-                                  samples_per_posterior=sbc_samples)
+        result["sbc"] = sbc_uniformity(per_pair.sbc_ranks)
     return result
 
 
@@ -410,13 +443,15 @@ def execute_run(config: ExperimentConfig, budget: int, seed: int, lam: float) ->
             best = history.best_epoch
             run_doc.update(best_epoch=best, lr_drop_epochs=history.lr_drop_epochs,
                            balance_at_best=_json_safe(history.balance[best]),
+                           floored_densities=metrics["floored_densities"],
                            regenerated={"train": int(dataset.failures),
                                         "test": int(test_set.failures)})
             with replacing(out / "runs" / f"{slug}.json") as tmp:
                 tmp.write_text(json.dumps(run_doc, sort_keys=True), encoding="utf-8")
         return RunResult(**key, **{m: metrics[m] for m in METRIC_FIELDS},
                          wall_time=time.perf_counter() - started, **clock)
-    except (TrainingDiverged, RuntimeError, ValueError) as err:
+    # the documented failure modes; anything else is a bug and propagates
+    except (TrainingDiverged, DegenerateGridError, RegenerationExhausted) as err:
         return RunResult(**key, wall_time=time.perf_counter() - started, **clock,
                          status="failed", error=f"{type(err).__name__}: {err}")
 

@@ -266,13 +266,6 @@ class ClassifierNet:
                 future.result()
         return out
 
-    def logit(self, v: np.ndarray) -> float:
-        """Single-input forward: [input_dim] -> scalar logit."""
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.input_dim,):
-            raise ValueError(f"expected length-{self.input_dim} input, got {v.shape}")
-        return float(self.logits(v[None, :])[0])
-
 
 @dataclass
 class OptimizerState:

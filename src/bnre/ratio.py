@@ -11,13 +11,11 @@ reach +-30.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import expit
 
 from .nets import ClassifierNet
 from .simulators import Benchmark, Tractable1D, tractable_posterior
@@ -25,16 +23,11 @@ from .simulators import Benchmark, Tractable1D, tractable_posterior
 __all__ = [
     "PosteriorGrid",
     "DegenerateGridError",
-    "classifier_prob",
-    "log_ratio",
-    "log_posterior_at",
     "posterior_grid",
     "grid_axes",
     "tractable_posterior_grid",
     "total_variation",
 ]
-
-NORMALIZATION_TOL = 1e-9
 
 
 class DegenerateGridError(RuntimeError):
@@ -104,66 +97,6 @@ class PosteriorGrid:
         return [np.apply_over_axes(np.sum, masses,
                                    [k for k in range(self.ndim) if k != d]).reshape(-1)
                 for d in range(self.ndim)]
-
-    def to_json(self, benchmark_name: str) -> str:
-        return json.dumps({
-            "benchmark": benchmark_name,
-            "x": self.x.tolist(),
-            "grid_spec": {
-                "shape": list(self.densities.shape),
-                "lower": [float(a[0] - 0.5 * w) for a, w in zip(self.axes, self.cell_widths)],
-                "upper": [float(a[-1] + 0.5 * w) for a, w in zip(self.axes, self.cell_widths)],
-            },
-            "densities": self.densities.reshape(-1).tolist(),
-        })
-
-
-_PROB_LO = np.nextafter(0.0, 1.0)
-_PROB_HI = np.nextafter(1.0, 0.0)
-
-
-def classifier_prob(net: ClassifierNet, benchmark: Benchmark, theta_sub: np.ndarray,
-                    x: np.ndarray) -> float:
-    """d_hat(theta, x), evaluated stably from the logit.
-
-    The returned probability is pinned to the open interval (0, 1) even at
-    saturating logits; anything needing more precision should stay in logit
-    space via :func:`log_ratio`.
-    """
-    p = expit(log_ratio(net, benchmark, theta_sub, x))
-    return float(min(max(p, _PROB_LO), _PROB_HI))
-
-
-def _features(benchmark: Benchmark, theta_sub: np.ndarray, x: np.ndarray) -> np.ndarray:
-    theta_sub = np.atleast_1d(np.asarray(theta_sub, dtype=np.float64))
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if theta_sub.shape != (len(benchmark.inference_dims),):
-        raise ValueError(
-            f"expected the inferred sub-vector of length {len(benchmark.inference_dims)}, "
-            f"got shape {theta_sub.shape}")
-    if x.shape != (benchmark.x_dim,):
-        raise ValueError(f"expected x of length {benchmark.x_dim}, got shape {x.shape}")
-    return np.concatenate([benchmark.theta_features(theta_sub), benchmark.x_features(x)])
-
-
-def log_ratio(net: ClassifierNet, benchmark: Benchmark, theta_sub: np.ndarray,
-              x: np.ndarray) -> float:
-    """log r_hat(x | theta): the raw network logit (logit of sigmoid = identity)."""
-    feats = _features(benchmark, theta_sub, x)
-    if net.input_dim != feats.size:
-        raise ValueError(
-            f"net consumes {net.input_dim} features but benchmark produces {feats.size}")
-    return net.logit(feats)
-
-
-def log_posterior_at(net: ClassifierNet, benchmark: Benchmark, theta_sub: np.ndarray,
-                     x: np.ndarray) -> float:
-    """log p(theta) + log r_hat(x | theta); -inf outside the prior box."""
-    box = benchmark.inference_prior
-    theta_sub = np.atleast_1d(np.asarray(theta_sub, dtype=np.float64))
-    if not box.contains(theta_sub):
-        return -math.inf
-    return -math.log(box.volume) + log_ratio(net, benchmark, theta_sub, x)
 
 
 @lru_cache(maxsize=32)

@@ -53,6 +53,7 @@ __all__ = [
     "Dataset",
     "FailureCounter",
     "SimulationCapExceeded",
+    "RegenerationExhausted",
     "ReactionSystem",
     "get_benchmark",
     "benchmark_names",
@@ -76,6 +77,10 @@ MAX_REGENERATION_ATTEMPTS = 1000
 
 class SimulationCapExceeded(RuntimeError):
     """A stochastic simulation hit its event cap before the horizon."""
+
+
+class RegenerationExhausted(RuntimeError):
+    """Every regeneration attempt of one joint draw hit its simulation guard."""
 
 
 @dataclass
@@ -414,7 +419,7 @@ def draw_joint_sample(benchmark: Benchmark, rng: np.random.Generator,
         except SimulationCapExceeded:
             if failures is not None:
                 failures.count += 1
-    raise RuntimeError(
+    raise RegenerationExhausted(
         f"{benchmark.name}: exceeded {MAX_REGENERATION_ATTEMPTS} regeneration attempts")
 
 

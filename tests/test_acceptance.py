@@ -14,8 +14,9 @@ import time
 import numpy as np
 import pytest
 
-from bnre.diagnostics import run_theorem_battery, sbc_ranks
-from bnre.harness import ExperimentConfig, lambda_sweep, run_experiment
+from bnre.diagnostics import (DEFAULT_LEVELS, coverage_curve, run_theorem_battery,
+                              sbc_uniformity)
+from bnre.harness import ExperimentConfig, diagnose_pairs, lambda_sweep, run_experiment
 from bnre.ratio import tractable_posterior_grid
 from bnre.rng import substream
 from bnre.simulators import generate_dataset, get_benchmark
@@ -112,13 +113,14 @@ def test_criterion_3_oracle_calibration(tractable_benchmark):
     pairs = list(zip(test.theta, test.x))
     posterior = lambda x: tractable_posterior_grid(tractable_benchmark, x)
 
-    from bnre.diagnostics import expected_coverage
-    curve = expected_coverage(posterior, pairs)
+    # the per-pair loop evaluate_net runs, fed the exact posterior
+    per_pair = diagnose_pairs(posterior, pairs, DEFAULT_LEVELS, sbc_samples=256,
+                              sbc_rng=substream("acceptance-sbc", 0))
+    curve = coverage_curve(per_pair.indicators, DEFAULT_LEVELS)
     outside = int(np.sum(np.abs(curve.coverage - curve.levels) > 3 * curve.se))
     auc_ok = abs(curve.auc) <= 3 * curve.auc_se
 
-    sbc = sbc_ranks(posterior, pairs, substream("acceptance-sbc", 0),
-                    samples_per_posterior=256)
+    sbc = sbc_uniformity(per_pair.sbc_ranks)
     elapsed = time.perf_counter() - started
     ok = outside == 0 and auc_ok and sbc.ks_pvalue > 0.01 and elapsed < 300.0
     report(3, "oracle calibration", ok,

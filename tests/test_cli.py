@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from bnre import harness
 from bnre.cli import main, parse_levels
 from bnre.simulators import load_dataset
+from bnre.training import TrainingDiverged, TrainHistory
 
 
 def test_parse_levels_inclusive_range():
@@ -109,10 +111,14 @@ def test_missing_file_is_reported_not_raised(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_failed_runs_exit_nonzero(tmp_path):
+def test_failed_runs_exit_nonzero(tmp_path, monkeypatch):
+    def diverge(benchmark, dataset, config):
+        raise TrainingDiverged("NaN training loss", TrainHistory())
+
+    monkeypatch.setattr(harness, "train", diverge)
     config = {
         "benchmark": "tractable1d",
-        "budgets": [8],
+        "budgets": [64],
         "seeds": [0],
         "methods": ["nre"],
         "n_test": 10,
@@ -123,3 +129,12 @@ def test_failed_runs_exit_nonzero(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     assert main(["experiment", "--config", str(path)]) == 1
+
+
+def test_budget_below_a_batch_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"budgets": [8], "batch_size": 16,
+                                "output_dir": str(tmp_path / "exp")}))
+    assert main(["experiment", "--config", str(path)]) == 1
+    assert "batch_size" in capsys.readouterr().err
+    assert not (tmp_path / "exp").exists()

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnre.diagnostics import (DEFAULT_LEVELS, CoverageCurve, DiscreteToy,
-                              bias_variance, coverage_auc, expected_coverage,
-                              expected_log_posterior, hpd_mass_at, hpd_threshold,
-                              run_theorem_battery, sbc_ranks, temper_to_balance,
+from bnre.diagnostics import (DEFAULT_LEVELS, CoverageCurve, DiscreteToy, coverage_auc,
+                              coverage_curve, hpd_mass_at, hpd_threshold,
+                              mean_log_density, run_theorem_battery, sbc_uniformity,
+                              scaled_bias_variance, temper_to_balance,
                               verify_balance_theorems)
+from bnre.harness import diagnose_pairs
 from bnre.ratio import PosteriorGrid, tractable_posterior_grid
 from bnre.rng import substream
 from bnre.simulators import generate_dataset
@@ -22,6 +23,27 @@ def grid_from_masses(masses):
     masses = np.asarray(masses, dtype=np.float64)
     axis = np.arange(masses.size, dtype=np.float64) + 0.5
     return PosteriorGrid((axis,), masses, np.zeros(1))
+
+
+def exact_posterior(benchmark):
+    return lambda x: tractable_posterior_grid(benchmark, x)
+
+
+def coverage_of(posterior_fn, pairs, levels=DEFAULT_LEVELS):
+    """The coverage curve from the per-pair loop that evaluate_net runs."""
+    return coverage_curve(diagnose_pairs(posterior_fn, pairs, levels).indicators, levels)
+
+
+def unscaled_bias_variance(posterior_fn, pairs):
+    per_pair = diagnose_pairs(posterior_fn, pairs)
+    return scaled_bias_variance(per_pair.theta_star, per_pair.means, per_pair.moments,
+                                np.ones(per_pair.means.shape[1]))
+
+
+def sbc(posterior_fn, pairs, rng, samples, dim=None):
+    ranks = diagnose_pairs(posterior_fn, pairs, sbc_samples=samples, sbc_rng=rng,
+                           sbc_dim=dim).sbc_ranks
+    return sbc_uniformity(ranks)
 
 
 def enumerate_hpd_placements(masses):
@@ -116,8 +138,7 @@ class TestExpectedCoverage:
     def test_exact_oracle_tracks_the_diagonal(self, tractable_benchmark):
         test = generate_dataset(tractable_benchmark, 800, seed=11, namespace="test")
         pairs = list(zip(test.theta, test.x))
-        curve = expected_coverage(
-            lambda x: tractable_posterior_grid(tractable_benchmark, x), pairs)
+        curve = coverage_of(exact_posterior(tractable_benchmark), pairs)
         for level, cov, se in zip(curve.levels, curve.coverage, curve.se):
             assert abs(cov - level) <= 3 * se + 1e-9
 
@@ -125,21 +146,19 @@ class TestExpectedCoverage:
         flat = tractable_posterior_grid(tractable_benchmark, np.array([0.0]))
         flat.densities[:] = 0.1
         test = generate_dataset(tractable_benchmark, 50, seed=12, namespace="test")
-        curve = expected_coverage(lambda x: flat, list(zip(test.theta, test.x)))
+        curve = coverage_of(lambda x: flat, list(zip(test.theta, test.x)))
         assert np.all(curve.coverage == 1.0)
 
     def test_single_pair_single_level(self, tractable_benchmark):
         test = generate_dataset(tractable_benchmark, 1, seed=13, namespace="test")
-        curve = expected_coverage(
-            lambda x: tractable_posterior_grid(tractable_benchmark, x),
-            list(zip(test.theta, test.x)), levels=np.array([0.5]))
+        curve = coverage_of(exact_posterior(tractable_benchmark),
+                                  list(zip(test.theta, test.x)), levels=np.array([0.5]))
         assert curve.coverage[0] in (0.0, 1.0)
 
     def test_coverage_is_monotone_in_level(self, tractable_benchmark):
         test = generate_dataset(tractable_benchmark, 100, seed=14, namespace="test")
-        curve = expected_coverage(
-            lambda x: tractable_posterior_grid(tractable_benchmark, x),
-            list(zip(test.theta, test.x)))
+        curve = coverage_of(exact_posterior(tractable_benchmark),
+                                  list(zip(test.theta, test.x)))
         assert np.all(np.diff(curve.coverage) >= 0.0)
 
     def test_indicator_consistent_with_hpd_region(self, tractable_benchmark):
@@ -170,9 +189,8 @@ class TestCoverageAuc:
 
     def test_matches_per_pair_propagated_mean(self, tractable_benchmark):
         test = generate_dataset(tractable_benchmark, 60, seed=16, namespace="test")
-        curve = expected_coverage(
-            lambda x: tractable_posterior_grid(tractable_benchmark, x),
-            list(zip(test.theta, test.x)))
+        curve = coverage_of(exact_posterior(tractable_benchmark),
+                                  list(zip(test.theta, test.x)))
         assert coverage_auc(curve) == pytest.approx(curve.auc, abs=1e-12)
 
     def test_single_level_rejected(self):
@@ -187,14 +205,16 @@ class TestExpectedLogPosterior:
         flat = tractable_posterior_grid(tractable_benchmark, np.array([0.0]))
         flat.densities[:] = 0.1
         test = generate_dataset(tractable_benchmark, 40, seed=17, namespace="test")
-        value = expected_log_posterior(lambda x: flat, list(zip(test.theta, test.x)))
+        per_pair = diagnose_pairs(lambda x: flat, list(zip(test.theta, test.x)))
+        value, floored = mean_log_density(per_pair.densities)
         assert value == pytest.approx(-math.log(10.0), abs=1e-12)
+        assert floored == 0
 
     def test_oracle_beats_prior_baseline(self, tractable_benchmark):
         test = generate_dataset(tractable_benchmark, 300, seed=18, namespace="test")
         pairs = list(zip(test.theta, test.x))
-        oracle = expected_log_posterior(
-            lambda x: tractable_posterior_grid(tractable_benchmark, x), pairs)
+        oracle, _ = mean_log_density(
+            diagnose_pairs(exact_posterior(tractable_benchmark), pairs).densities)
         assert oracle >= -math.log(10.0)
 
     def test_zero_density_cells_are_floored_and_reported(self, tractable_benchmark):
@@ -203,9 +223,14 @@ class TestExpectedLogPosterior:
         dens[500] = 1.0 / grid.cell_volume
         point_mass = PosteriorGrid(grid.axes, dens, grid.x)
         pairs = [(np.array([-4.9]), np.array([0.0]))]
-        with pytest.warns(RuntimeWarning, match="zero-density"):
-            value = expected_log_posterior(lambda x: point_mass, pairs)
+        value, floored = mean_log_density(diagnose_pairs(lambda x: point_mass, pairs).densities)
         assert value == pytest.approx(math.log(1e-300))
+        assert floored == 1
+        # the pair whose truth sits in the point mass's cell is not floored
+        pairs.append((grid.axes[0][500:501], np.array([0.0])))
+        value, floored = mean_log_density(diagnose_pairs(lambda x: point_mass, pairs).densities)
+        assert floored == 1
+        assert value == pytest.approx((math.log(1e-300) - math.log(grid.cell_volume)) / 2)
 
 
 class TestBiasVariance:
@@ -216,8 +241,7 @@ class TestBiasVariance:
         point = PosteriorGrid(grid.axes, dens, grid.x)
         center = grid.axes[0][512]
         theta_star = np.array([1.0])
-        bias, variance = bias_variance(lambda x: point, [(theta_star, np.zeros(1))],
-                                       scaled=False)
+        bias, variance = unscaled_bias_variance(lambda x: point, [(theta_star, np.zeros(1))])
         assert variance == pytest.approx(0.0, abs=1e-18)
         assert bias == pytest.approx((center - 1.0) ** 2, rel=1e-9)
 
@@ -229,16 +253,18 @@ class TestBiasVariance:
         flat = PosteriorGrid((axis,), np.ones(k), np.zeros(1))
         thetas = np.linspace(0.0, 1.0, 4001)  # deterministic quadrature over theta*
         pairs = [(np.array([t]), np.zeros(1)) for t in thetas]
-        bias, variance = bias_variance(lambda x: flat, pairs, scaled=False)
+        bias, variance = unscaled_bias_variance(lambda x: flat, pairs)
         assert bias == pytest.approx(1.0 / 12.0, abs=2e-4)
         assert variance == pytest.approx(1.0 / 12.0, abs=2e-4)
 
     def test_scaling_divides_by_prior_variance(self, tractable_benchmark):
         test = generate_dataset(tractable_benchmark, 50, seed=19, namespace="test")
         pairs = list(zip(test.theta, test.x))
-        fn = lambda x: tractable_posterior_grid(tractable_benchmark, x)
-        raw_b, raw_v = bias_variance(fn, pairs, scaled=False)
-        scl_b, scl_v = bias_variance(fn, pairs, scaled=True)
+        per_pair = diagnose_pairs(exact_posterior(tractable_benchmark), pairs)
+        moments = (per_pair.theta_star, per_pair.means, per_pair.moments)
+        raw_b, raw_v = scaled_bias_variance(*moments, np.ones(1))
+        scl_b, scl_v = scaled_bias_variance(*moments,
+                                            tractable_benchmark.inference_prior.variances)
         prior_var = 100.0 / 12.0
         assert scl_b == pytest.approx(raw_b / prior_var, rel=1e-9)
         assert scl_v == pytest.approx(raw_v / prior_var, rel=1e-9)
@@ -248,9 +274,7 @@ class TestBiasVariance:
         from scipy.stats import truncnorm
         test = generate_dataset(tractable_benchmark, 200, seed=20, namespace="test")
         pairs = list(zip(test.theta, test.x))
-        grid_bias, grid_var = bias_variance(
-            lambda x: tractable_posterior_grid(tractable_benchmark, x), pairs,
-            scaled=False)
+        grid_bias, grid_var = unscaled_bias_variance(exact_posterior(tractable_benchmark), pairs)
         rng = substream("mc-oracle", 0)
         draws_per_pair = 5000
         mc_bias, mc_var = [], []
@@ -271,16 +295,14 @@ class TestSbcRanks:
     def test_rank_is_one_when_truth_has_max_density(self, tractable_benchmark):
         grid = tractable_posterior_grid(tractable_benchmark, np.array([0.0]))
         mode = grid.axes[0][np.argmax(grid.densities)]
-        result = sbc_ranks(lambda x: grid, [(np.array([mode]), np.zeros(1))],
-                           substream("sbc", 0), samples_per_posterior=200)
+        result = sbc(lambda x: grid, [(np.array([mode]), np.zeros(1))],
+                     substream("sbc", 0), 200)
         assert result.ranks[0] == 1.0
 
     def test_exact_oracle_ranks_are_uniform(self, tractable_benchmark):
         test = generate_dataset(tractable_benchmark, 600, seed=21, namespace="test")
-        result = sbc_ranks(
-            lambda x: tractable_posterior_grid(tractable_benchmark, x),
-            list(zip(test.theta, test.x)), substream("sbc-uniform", 0),
-            samples_per_posterior=256)
+        result = sbc(exact_posterior(tractable_benchmark), list(zip(test.theta, test.x)),
+                     substream("sbc-uniform", 0), 256)
         assert result.ks_pvalue > 0.01
         assert not result.degenerate
 
@@ -288,37 +310,33 @@ class TestSbcRanks:
         flat = tractable_posterior_grid(tractable_benchmark, np.array([0.0]))
         flat.densities[:] = 0.1
         test = generate_dataset(tractable_benchmark, 20, seed=22, namespace="test")
-        result = sbc_ranks(lambda x: flat, list(zip(test.theta, test.x)),
-                           substream("sbc-flat", 0), samples_per_posterior=150)
+        result = sbc(lambda x: flat, list(zip(test.theta, test.x)),
+                     substream("sbc-flat", 0), 150)
         assert np.all(result.ranks == 1.0)
         assert result.degenerate
 
     def test_identity_statistic_is_uniform_for_oracle(self, tractable_benchmark):
         test = generate_dataset(tractable_benchmark, 400, seed=23, namespace="test")
-        result = sbc_ranks(
-            lambda x: tractable_posterior_grid(tractable_benchmark, x),
-            list(zip(test.theta, test.x)), substream("sbc-ident", 0),
-            samples_per_posterior=256, statistic="identity")
+        result = sbc(exact_posterior(tractable_benchmark), list(zip(test.theta, test.x)),
+                     substream("sbc-ident", 0), 256, dim=0)
         assert result.ks_pvalue > 0.01
 
     def test_too_few_samples_rejected(self, tractable_benchmark):
         with pytest.raises(ValueError):
-            sbc_ranks(lambda x: None, [], substream("x", 0), samples_per_posterior=50)
+            diagnose_pairs(lambda x: None, [], sbc_samples=50, sbc_rng=substream("x", 0))
 
     def test_reports_kstests_exact_statistic_and_pvalue(self, tractable_benchmark):
         from scipy import stats
 
         test = generate_dataset(tractable_benchmark, 30, seed=24, namespace="test")
-        result = sbc_ranks(
-            lambda x: tractable_posterior_grid(tractable_benchmark, x),
-            list(zip(test.theta, test.x)), substream("sbc-ks", 0),
-            samples_per_posterior=100)
+        result = sbc(exact_posterior(tractable_benchmark), list(zip(test.theta, test.x)),
+                     substream("sbc-ks", 0), 100)
         ks = stats.kstest(result.ranks, "uniform")
         assert result.ks_distance == float(ks.statistic)
         assert result.ks_pvalue == float(ks.pvalue)
 
     def test_importing_bnre_does_not_import_scipy_stats(self):
-        # sbc_ranks imports it on first use; nothing else in bnre needs it
+        # sbc_uniformity imports it on first use; nothing else in bnre needs it
         loaded = run_fresh_python(
             "import json, sys\n"
             "import bnre, bnre.harness, bnre.cli\n"

@@ -1,15 +1,21 @@
 import json
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bnre import nets
+from bnre import harness, nets
 from bnre.harness import (PHASE_FIELDS, ExperimentConfig, ResultsTable, RunResult,
-                          _ensure_dataset, lambda_sweep, run_experiment)
-from bnre.simulators import generate_dataset, get_benchmark, load_dataset, save_dataset
+                          _ensure_dataset, evaluate_net, lambda_sweep, run_experiment)
+from bnre.nets import ClassifierNet
+from bnre.ratio import PosteriorGrid, grid_axes, posterior_grid
+from bnre.rng import substream
+from bnre.simulators import (RegenerationExhausted, generate_dataset, get_benchmark,
+                             load_dataset, save_dataset)
+from bnre.training import TrainingDiverged, TrainHistory
 
 
 def tiny_config(out_dir, **overrides):
@@ -151,6 +157,67 @@ class TestRunDocCounters:
                                     config.test_seed, namespace="test")
         assert doc["regenerated"] == {"train": train_set.failures,
                                       "test": test_set.failures}
+        assert doc["floored_densities"] == 0
+
+    def test_run_doc_counts_floored_test_densities(self, tmp_path, monkeypatch):
+        # every grid is a point mass on the last cell: each test pair whose
+        # truth lies elsewhere has density 0 there and is floored
+        def point_mass(net, benchmark, x):
+            axes = grid_axes(benchmark)
+            dens = np.zeros(len(axes[0]))
+            dens[-1] = 1.0 / (axes[0][1] - axes[0][0])
+            return PosteriorGrid(axes, dens, x)
+
+        monkeypatch.setattr(harness, "posterior_grid", point_mass)
+        config = tiny_config(tmp_path, budgets=(64,), seeds=(0,), methods=("nre",))
+        run_experiment(config)
+        doc = json.loads((tmp_path / "runs" / "tractable1d_b64_s0_nre_lam0.json").read_text())
+        benchmark = get_benchmark("tractable1d")
+        test_set = generate_dataset(benchmark, config.n_test, config.test_seed,
+                                    namespace="test")
+        grid = point_mass(None, benchmark, test_set.x[0])
+        expected = sum(grid.density_at(t) == 0.0 for t in test_set.theta)
+        assert expected > 0
+        assert doc["floored_densities"] == expected
+
+
+def reference_sbc_ranks(net, benchmark, test_set, rng, samples):
+    """SBC density ranks drawn after every grid is built, as a separate pass."""
+    dims = list(benchmark.inference_dims)
+    grids = [posterior_grid(net, benchmark, x) for x in test_set.x]
+    ranks = []
+    for grid, theta in zip(grids, test_set.theta[:, dims]):
+        cum = np.cumsum(grid.cell_masses.reshape(-1))
+        cells = np.minimum(np.searchsorted(cum, rng.random(samples) * cum[-1]), cum.size - 1)
+        ranks.append(np.mean(grid.densities.reshape(-1)[cells] <= grid.density_at(theta)))
+    return np.array(ranks)
+
+
+class TestEvaluateNet:
+    def test_sbc_keeps_no_grid_and_matches_a_separate_rank_pass(self):
+        from scipy import stats  # imported up front: its import is not evaluate_net's memory
+
+        benchmark = get_benchmark("mg1")
+        test_set = generate_dataset(benchmark, 200, seed=5, namespace="test")
+        net = ClassifierNet.initialize(benchmark.classifier_input_dim(), 2, 16,
+                                       np.random.default_rng(3))
+        net.weights[-1][:] = np.random.default_rng(4).standard_normal(net.weights[-1].shape)
+        evaluate_net(net, benchmark, generate_dataset(benchmark, 2, seed=6, namespace="test"))
+        tracemalloc.start()
+        try:
+            metrics = evaluate_net(net, benchmark, test_set, sbc_samples=256,
+                                   sbc_rng=substream("sbc-mem", 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grid_bytes = 128 * 128 * 8
+        assert peak < 50 * grid_bytes  # holding the 200 grids took 26 MiB
+        sbc = metrics["sbc"]
+        reference = reference_sbc_ranks(net, benchmark, test_set,
+                                        substream("sbc-mem", 0), 256)
+        assert np.array_equal(sbc.ranks, reference)
+        ks = stats.kstest(reference, "uniform")
+        assert (sbc.ks_distance, sbc.ks_pvalue) == (float(ks.statistic), float(ks.pvalue))
 
 
 TABLES = ("results.csv", "aggregate.csv", "timing.csv", "report.json")
@@ -348,7 +415,8 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("n_test", 1), ("lam", -1.0), ("lam", float("nan")), ("workers", 0),
-        ("epochs", 0), ("sbc_samples", 99), ("sbc_samples", -1)])
+        ("epochs", 0), ("sbc_samples", 99), ("sbc_samples", -1), ("budgets", (8, 1024)),
+        ("levels", (0.0, 0.5)), ("levels", (0.5, 1.0))])
     def test_out_of_range_fields_rejected(self, field, value):
         with pytest.raises(ValueError, match=field.replace("lam", "lambda")):
             ExperimentConfig(**{field: value})
@@ -356,6 +424,7 @@ class TestExperimentConfig:
     def test_boundary_values_accepted(self):
         ExperimentConfig(n_test=2, lam=0.0, workers=1, epochs=1, sbc_samples=100)
         ExperimentConfig(sbc_samples=0)
+        ExperimentConfig(budgets=(256,), batch_size=256)
 
     def test_single_test_sample_fails_before_any_file_is_written(self, tmp_path):
         # used to train, then record a failed row with a derangement error
@@ -374,15 +443,40 @@ class TestExperimentConfig:
         assert not out.exists()
 
 
+def diverge(benchmark, dataset, config):
+    raise TrainingDiverged("NaN training loss", TrainHistory())
+
+
 class TestFailureHandling:
-    def test_failed_run_recorded_not_raised(self, tmp_path):
-        # budget smaller than one batch makes training fail fast
-        config = tiny_config(tmp_path / "fail", budgets=(8,), seeds=(0,),
-                             methods=("nre",), batch_size=16)
+    def test_failed_run_recorded_not_raised(self, tmp_path, monkeypatch):
+        # a diverged training run is a documented failure mode
+        monkeypatch.setattr(harness, "train", diverge)
+        config = tiny_config(tmp_path / "fail", budgets=(64,), seeds=(0,), methods=("nre",))
         table = run_experiment(config)
         assert len(table.rows) == 1
         assert table.rows[0].status == "failed"
-        assert "smaller" in table.rows[0].error
+        assert table.rows[0].error == "TrainingDiverged: NaN training loss"
         assert not table.all_ok
         agg = table.aggregate()[0]
         assert agg.n_failed == 1
+
+    @pytest.mark.parametrize("error", [ValueError, RuntimeError, KeyError])
+    def test_programming_errors_propagate(self, tmp_path, monkeypatch, error):
+        def broken_save_weights(net, path):
+            raise error("bug")
+
+        monkeypatch.setattr(harness, "save_weights", broken_save_weights)
+        config = tiny_config(tmp_path / "bug", budgets=(64,), seeds=(0,), methods=("nre",))
+        with pytest.raises(error, match="bug"):
+            run_experiment(config)
+
+    def test_exhausted_regeneration_is_a_failed_row(self, tmp_path, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise RegenerationExhausted("mg1: exceeded 1000 regeneration attempts")
+
+        monkeypatch.setattr(harness, "generate_dataset", exhausted)
+        out = tmp_path / "regen"
+        out.mkdir()
+        row = harness.execute_run(tiny_config(out, budgets=(64,), seeds=(0,)), 64, 0, 0.0)
+        assert row.status == "failed"
+        assert row.error.startswith("RegenerationExhausted")

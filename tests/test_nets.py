@@ -22,22 +22,22 @@ class TestForward:
     def test_zero_net_gives_zero_logit(self):
         net = ClassifierNet([np.zeros((4, 3)), np.zeros((1, 4))],
                             [np.zeros(4), np.zeros(1)])
-        assert net.logit(np.array([1.0, -2.0, 3.0])) == 0.0
+        assert net.logits(np.array([[1.0, -2.0, 3.0]]))[0] == 0.0
 
     def test_single_linear_layer(self):
         net = ClassifierNet([np.array([[2.0]])], [np.array([1.0])])
-        assert net.logit(np.array([3.0])) == 7.0
+        assert net.logits(np.array([[3.0]]))[0] == 7.0
 
     def test_forward_is_deterministic_bitwise(self):
         rng = np.random.default_rng(0)
         net = random_net(rng, [5, 16, 16, 1])
-        x = rng.standard_normal(5)
-        assert net.logit(x) == net.logit(x)
+        x = rng.standard_normal((1, 5))
+        assert net.logits(x)[0] == net.logits(x)[0]
 
     def test_dimension_mismatch_rejected(self):
         net = random_net(np.random.default_rng(0), [3, 8, 1])
         with pytest.raises(ValueError):
-            net.logit(np.zeros(4))
+            net.logits(np.zeros((1, 4)))
         with pytest.raises(ValueError):
             net.logits(np.zeros((2, 5)))
 
@@ -52,7 +52,7 @@ class TestForward:
         x = rng.standard_normal(4)
         hidden = np.maximum(net.weights[0] @ x + net.biases[0], 0.0)
         expected = float((net.weights[1] @ hidden + net.biases[1])[0])
-        assert net.logit(x) == pytest.approx(expected, rel=1e-14)
+        assert net.logits(x[None, :])[0] == pytest.approx(expected, rel=1e-14)
         assert net.logits(np.stack([x, -x]))[0] == pytest.approx(expected, rel=1e-14)
 
     def test_initialize_starts_at_uninformative_classifier(self):

@@ -1,15 +1,14 @@
-import json
 import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 from scipy.stats import norm
 
 from bnre.diagnostics import hpd_threshold
 from bnre.nets import ClassifierNet
-from bnre.ratio import (DegenerateGridError, _grid_theta_features, classifier_prob,
-                        grid_axes, log_posterior_at, log_ratio, posterior_grid,
-                        total_variation, tractable_posterior_grid)
+from bnre.ratio import (DegenerateGridError, _grid_theta_features, grid_axes,
+                        posterior_grid, total_variation, tractable_posterior_grid)
 from bnre.rng import substream
 from bnre.simulators import generate_dataset, get_benchmark
 
@@ -21,37 +20,43 @@ def zero_net(input_dim):
                          [np.zeros(4), np.zeros(1)])
 
 
+def point_features(benchmark, theta_sub, x):
+    """Classifier input rows for (theta, x) pairs, as the grid and balance passes build them."""
+    return np.concatenate([benchmark.theta_features(np.atleast_2d(theta_sub)),
+                           benchmark.x_features(np.atleast_2d(x))], axis=1)
+
+
 class TestClassifierProb:
+    # the harness reads the classifier's probability as expit of its logits
     def test_zero_logit_gives_half(self, tractable_benchmark):
         net = zero_net(2)
-        assert classifier_prob(net, tractable_benchmark,
-                               np.array([0.3]), np.array([0.1])) == 0.5
-
-    def test_saturated_logit_stays_inside_open_interval(self, tractable_benchmark):
-        net = ClassifierNet([np.zeros((1, 2))], [np.array([40.0])])
-        p = classifier_prob(net, tractable_benchmark, np.array([0.0]), np.array([0.0]))
-        assert 1.0 - 1e-15 < p < 1.0
+        feats = point_features(tractable_benchmark, [0.3], [0.1])
+        assert expit(net.logits(feats))[0] == 0.5
 
     def test_symmetric_logits_sum_to_one(self, tractable_benchmark):
+        feats = point_features(tractable_benchmark, [0.0], [0.0])
         for z in (0.3, 2.0, 11.0):
             plus = ClassifierNet([np.zeros((1, 2))], [np.array([z])])
             minus = ClassifierNet([np.zeros((1, 2))], [np.array([-z])])
-            p = classifier_prob(plus, tractable_benchmark, np.array([0.0]), np.array([0.0]))
-            q = classifier_prob(minus, tractable_benchmark, np.array([0.0]), np.array([0.0]))
+            p = expit(plus.logits(feats))[0]
+            q = expit(minus.logits(feats))[0]
             assert p + q == pytest.approx(1.0, abs=1e-15)
 
 
 class TestLogRatio:
     def test_uninformative_classifier_gives_unit_ratio(self, tractable_benchmark):
         net = zero_net(2)
-        lr = log_ratio(net, tractable_benchmark, np.array([1.0]), np.array([0.5]))
-        assert lr == 0.0
+        assert net.logits(point_features(tractable_benchmark, [1.0], [0.5]))[0] == 0.0
+        grid = posterior_grid(net, tractable_benchmark, np.array([0.5]))
+        np.testing.assert_allclose(grid.densities, 0.1, rtol=1e-12)  # the prior
 
     def test_logit_space_identity_no_probability_round_trip(self, tractable_benchmark):
+        feats = point_features(tractable_benchmark, [0.0], [0.0])
         for z in (-30.0, 0.0, 30.0):
             net = ClassifierNet([np.zeros((1, 2))], [np.array([z])])
-            assert log_ratio(net, tractable_benchmark,
-                             np.array([0.0]), np.array([0.0])) == z
+            assert net.logits(feats)[0] == z
+            grid = posterior_grid(net, tractable_benchmark, np.array([0.0]))
+            np.testing.assert_allclose(grid.densities, 0.1, rtol=1e-12)
 
     def test_trained_net_matches_quadrature_oracle(self, tractable_benchmark,
                                                    tractable_nre_net,
@@ -64,7 +69,7 @@ class TestLogRatio:
                 continue  # high-likelihood, central pairs
             log_px = math.log(np.trapezoid(norm.pdf(x[0] - grid) * 0.1, grid))
             oracle = norm.logpdf(x[0] - theta[0]) - log_px
-            est = log_ratio(tractable_nre_net, tractable_benchmark, theta, x)
+            est = tractable_nre_net.logits(point_features(tractable_benchmark, theta, x))[0]
             errors.append(abs(est - oracle))
             if len(errors) >= 40:
                 break
@@ -74,43 +79,39 @@ class TestLogRatio:
     def test_wrong_theta_dimension_rejected(self):
         b = get_benchmark("slcp_marginal")
         net = zero_net(10)
-        with pytest.raises(ValueError, match="sub-vector"):
-            log_ratio(net, b, np.zeros(5), np.zeros(8))  # full theta, not the marginal
+        with pytest.raises(ValueError, match="inferred dimension"):
+            # one resolution per full-theta dimension, not per inferred one
+            posterior_grid(net, b, np.zeros(8), shape=(8,) * 5)
 
     def test_feature_width_mismatch_rejected(self, tractable_benchmark):
         net = zero_net(7)
-        with pytest.raises(ValueError, match="features"):
-            log_ratio(net, tractable_benchmark, np.array([0.0]), np.array([0.0]))
+        with pytest.raises(ValueError, match=r"expected \[n, 7\] input, got \(1024, 2\)"):
+            posterior_grid(net, tractable_benchmark, np.array([0.0]))
 
 
 class TestLogPosteriorAt:
     def test_uniform_prior_flat_ratio_gives_log_inverse_volume(self, tractable_benchmark):
-        net = zero_net(2)
-        lp = log_posterior_at(net, tractable_benchmark, np.array([2.0]), np.array([0.0]))
+        grid = posterior_grid(zero_net(2), tractable_benchmark, np.array([0.0]))
+        lp = math.log(grid.density_at(np.array([2.0])))
         assert lp == pytest.approx(-math.log(10.0), abs=1e-12)
 
     def test_log_posterior_differences_equal_logit_differences(self, tractable_benchmark):
         net = random_net(np.random.default_rng(1), [2, 16, 1])
         x = np.array([0.4])
-        t1, t2 = np.array([-1.0]), np.array([2.5])
-        dlp = (log_posterior_at(net, tractable_benchmark, t1, x)
-               - log_posterior_at(net, tractable_benchmark, t2, x))
-        dlr = (log_ratio(net, tractable_benchmark, t1, x)
-               - log_ratio(net, tractable_benchmark, t2, x))
-        assert dlp == pytest.approx(dlr, abs=1e-12)
-
-    def test_outside_box_is_minus_infinity(self, tractable_benchmark):
-        net = zero_net(2)
-        assert log_posterior_at(net, tractable_benchmark,
-                                np.array([6.0]), np.array([0.0])) == -math.inf
+        grid = posterior_grid(net, tractable_benchmark, x)
+        (i1,), (i2,) = grid.locate(np.array([-1.0])), grid.locate(np.array([2.5]))
+        dlp = math.log(grid.densities[i1]) - math.log(grid.densities[i2])
+        z = net.logits(point_features(tractable_benchmark, grid.axes[0][[i1, i2], None],
+                                      np.tile(x, (2, 1))))
+        assert dlp == pytest.approx(z[0] - z[1], abs=1e-12)
 
     def test_grid_argmax_equals_logit_argmax(self, tractable_benchmark):
         net = random_net(np.random.default_rng(2), [2, 16, 1])
         x = np.array([1.2])
         grid = posterior_grid(net, tractable_benchmark, x)
-        axis = grid.axes[0]
-        logits = np.array([log_ratio(net, tractable_benchmark, np.array([t]), x)
-                           for t in axis[::16]])
+        axis = grid.axes[0][::16]
+        logits = net.logits(point_features(tractable_benchmark, axis[:, None],
+                                           np.tile(x, (len(axis), 1))))
         assert np.argmax(grid.densities[::16]) == np.argmax(logits)
 
 
@@ -141,6 +142,15 @@ class TestPosteriorGrid:
         assert grid.total_mass() == pytest.approx(1.0, abs=1e-9)
         np.testing.assert_allclose(grid.densities, 1.0 / 100.0, rtol=1e-12)
 
+    def test_saturated_logits_give_a_finite_normalized_grid(self, tractable_benchmark):
+        # logits run from -1000 to +1000 over the box: exp would overflow
+        # without the max-subtraction
+        net = ClassifierNet([np.array([[200.0, 0.0]])], [np.zeros(1)])
+        grid = posterior_grid(net, tractable_benchmark, np.array([0.0]))
+        assert np.all(np.isfinite(grid.densities))
+        assert grid.total_mass() == pytest.approx(1.0, abs=1e-9)
+        assert np.argmax(grid.densities) == grid.densities.size - 1
+
     def test_degenerate_grid_rejected(self, tractable_benchmark):
         net = zero_net(2)
         with pytest.raises(DegenerateGridError):
@@ -167,16 +177,6 @@ class TestPosteriorGrid:
         by_logit = np.zeros_like(result.region)
         by_logit[np.argsort(grid.densities)[::-1][:k]] = True
         assert np.array_equal(result.region, by_logit)
-
-    def test_export_schema(self, tractable_benchmark):
-        grid = posterior_grid(zero_net(2), tractable_benchmark, np.array([0.25]))
-        doc = json.loads(grid.to_json("tractable1d"))
-        assert doc["benchmark"] == "tractable1d"
-        assert doc["x"] == [0.25]
-        assert doc["grid_spec"]["shape"] == [1024]
-        assert doc["grid_spec"]["lower"] == [-5.0]
-        assert doc["grid_spec"]["upper"] == [5.0]
-        assert len(doc["densities"]) == 1024
 
 
 def naive_posterior_densities(net, benchmark, x):
