@@ -7,8 +7,8 @@ simulation-based calibration. Includes stochastic benchmark simulators and
 an experiment harness with a CLI front end.
 """
 
-from .diagnostics import (CoverageCurve, DiscreteToy, SbcResult, coverage_auc,
-                          hpd_threshold, run_theorem_battery, verify_balance_theorems)
+from .diagnostics import (CoverageCurve, DiscreteToy, SbcResult, run_theorem_battery,
+                          verify_balance_theorems)
 from .harness import ExperimentConfig, ResultsTable, lambda_sweep, run_experiment
 from .nets import ClassifierNet, load_weights, save_weights
 from .ratio import PosteriorGrid, posterior_grid
@@ -34,10 +34,8 @@ __all__ = [
     "bce_loss",
     "benchmark_names",
     "bnre_loss",
-    "coverage_auc",
     "generate_dataset",
     "get_benchmark",
-    "hpd_threshold",
     "lambda_sweep",
     "load_dataset",
     "load_weights",

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, harness
+from .files import replacing
 from .harness import ExperimentConfig, evaluate_net, lambda_sweep, run_experiment
 from .nets import load_weights, save_weights
 from .rng import substream
@@ -104,8 +105,8 @@ def _cmd_diagnose(args) -> int:
     if sbc is not None:
         doc["sbc_ks_distance"] = sbc.ks_distance
         doc["sbc_ks_pvalue"] = sbc.ks_pvalue
-    (out / "diagnostics.json").write_text(json.dumps(doc, sort_keys=True, indent=1),
-                                          encoding="utf-8")
+    with replacing(out / "diagnostics.json") as tmp, open(tmp, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
     print(f"coverage AUC {metrics['coverage_auc']:+.4f} "
           f"(se {metrics['coverage_auc_se']:.4f}), "
           f"E[log posterior] {metrics['expected_log_posterior']:.4f}, "

@@ -13,10 +13,10 @@ The per-pair functions (coverage indicators, SBC rank) take one grid;
 reductions turn its ``[n, ...]`` arrays into the reported numbers.
 
 Ties in grid density are resolved conservatively: every cell tied at the
-threshold joins the credible region, and the achieved mass is reported. The
-theorem checks run on small discrete joint tables where every expectation is
-an exact finite sum, so the balance identities can be verified to near
-machine precision.
+threshold joins the credible region, so theta* is covered at every level
+that reaches its cell's tie group. The theorem checks run on small discrete
+joint tables where every expectation is an exact finite sum, so the balance
+identities can be verified to near machine precision.
 """
 
 from __future__ import annotations
@@ -30,16 +30,13 @@ from .ratio import PosteriorGrid
 
 __all__ = [
     "CoverageCurve",
-    "HpdResult",
     "DiscreteToy",
     "BalanceReport",
     "SbcResult",
     "DEFAULT_LEVELS",
-    "hpd_threshold",
     "hpd_mass_at",
     "coverage_indicators",
     "coverage_curve",
-    "coverage_auc",
     "mean_log_density",
     "scaled_bias_variance",
     "sbc_rank",
@@ -57,21 +54,6 @@ DENSITY_FLOOR = 1e-300
 
 
 @dataclass
-class HpdResult:
-    """Highest-density credible region as a >=-threshold cell set."""
-
-    threshold: float
-    region: np.ndarray        # boolean mask over grid cells
-    achieved_mass: float
-    level: float
-    flagged: bool             # ties forced the mass away from the level
-
-    @property
-    def cell_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.region.reshape(-1))
-
-
-@dataclass
 class CoverageCurve:
     """Estimated expected coverage per nominal level, with Monte Carlo error."""
 
@@ -81,28 +63,6 @@ class CoverageCurve:
     se: np.ndarray
     auc: float
     auc_se: float
-
-
-def hpd_threshold(grid: PosteriorGrid, level: float) -> HpdResult:
-    """Exact density threshold of the 1-alpha highest-density region.
-
-    Cells sorted by decreasing density are added until their cumulative
-    mass reaches the level; the threshold is the density of the last cell
-    added. Cells tied at the threshold are all included (conservative),
-    which can leave the achieved mass above the smallest prefix reaching
-    the level on flat regions; such results are flagged.
-    """
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must be in (0, 1)")
-    dens = grid.densities.reshape(-1)
-    masses = dens * grid.cell_volume
-    order = np.argsort(dens)[::-1]
-    k = min(int(np.searchsorted(np.cumsum(masses[order]), level)), dens.size - 1)
-    threshold = float(dens[order[k]])
-    region = grid.densities >= threshold
-    achieved = float(masses[dens >= threshold].sum())
-    return HpdResult(threshold, region, achieved, level,
-                     flagged=int(region.sum()) > k + 1)
 
 
 def hpd_mass_at(grid: PosteriorGrid, theta_star: np.ndarray) -> tuple[float, float]:
@@ -154,18 +114,6 @@ def coverage_curve(indicators: np.ndarray, levels: np.ndarray) -> CoverageCurve:
     return CoverageCurve(levels, coverage, n, se, float(per_pair_auc.mean()), auc_se)
 
 
-def coverage_auc(curve: CoverageCurve) -> float:
-    """Signed area between the coverage curve and the (0,0)-(1,1) diagonal.
-
-    The curve is integrated over the full unit interval (trapezoid rule,
-    edge levels extended outward); 0 means calibrated, > 0 conservative,
-    < 0 overconfident, with extremes at +-1/2.
-    """
-    if curve.levels.size < 2:
-        raise ValueError("need at least two levels to integrate")
-    return float(_auc_from_curve(curve.levels, curve.coverage))
-
-
 def mean_log_density(densities: np.ndarray) -> tuple[float, int]:
     """Expected log posterior from the grid densities at the ground truths.
 
@@ -202,27 +150,19 @@ class SbcResult:
 
 
 def sbc_rank(grid: PosteriorGrid, theta_star: np.ndarray, rng: np.random.Generator,
-             samples: int, dim: int | None = None) -> float:
+             samples: int) -> float:
     """Rank of theta* among ``samples`` draws from the grid posterior.
 
-    The statistic is the grid density itself (``dim=None``) or coordinate
-    ``dim``, with draws jittered uniformly within their cells. The rank is
-    the fraction of draws whose statistic is <= the ground truth's, which is
-    uniform on [0, 1] for a faithful posterior.
+    The statistic is the grid density; the rank is the fraction of draws
+    whose density is <= the ground truth's, which is uniform on [0, 1] for
+    a faithful posterior.
     """
     masses = grid.cell_masses.reshape(-1)
     cum = np.cumsum(masses)
     u = rng.random(samples) * cum[-1]
     cells = np.minimum(np.searchsorted(cum, u), masses.size - 1)
-    if dim is None:
-        f_draws = grid.densities.reshape(-1)[cells]
-        f_star = grid.density_at(theta_star)
-    else:
-        idx = np.unravel_index(cells, grid.densities.shape)[dim]
-        jitter = (rng.random(samples) - 0.5) * grid.cell_widths[dim]
-        f_draws = grid.axes[dim][idx] + jitter
-        f_star = theta_star[dim]
-    return float(np.mean(f_draws <= f_star))
+    f_draws = grid.densities.reshape(-1)[cells]
+    return float(np.mean(f_draws <= grid.density_at(theta_star)))
 
 
 def sbc_uniformity(ranks: np.ndarray) -> SbcResult:
@@ -253,9 +193,9 @@ class DiscreteToy:
         object.__setattr__(self, "joint", joint / joint.sum())
 
     @classmethod
-    def random(cls, rng: np.random.Generator, shape: tuple[int, int] = (8, 8),
-               concentration: float = 1.0) -> "DiscreteToy":
-        return cls(rng.gamma(concentration, size=shape))
+    def random(cls, rng: np.random.Generator) -> "DiscreteToy":
+        """An 8 x 8 table of independent Gamma(1) entries, normalized."""
+        return cls(rng.gamma(1.0, size=(8, 8)))
 
     @property
     def p_theta(self) -> np.ndarray:
@@ -312,12 +252,12 @@ def verify_balance_theorems(toy: DiscreteToy, d_hat: np.ndarray) -> BalanceRepor
     )
 
 
-def temper_to_balance(d_hat: np.ndarray, toy: DiscreteToy, tol: float = 1e-14,
-                      max_iter: int = 200) -> np.ndarray:
+def temper_to_balance(d_hat: np.ndarray, toy: DiscreteToy) -> np.ndarray:
     """Exponent-temper a table classifier until the balancing condition holds.
 
     The balance value of d_hat^t decreases continuously from 2 (t -> 0) to 0
-    (t -> inf), so bisection on t pins it to 1 within ``tol``.
+    (t -> inf), so bisection on t pins it to 1 within 1e-14 (or stops after
+    200 halvings).
     """
     d_hat = np.asarray(d_hat, dtype=np.float64)
     if np.any(d_hat <= 0.0) or np.any(d_hat >= 1.0):
@@ -332,10 +272,10 @@ def temper_to_balance(d_hat: np.ndarray, toy: DiscreteToy, tol: float = 1e-14,
         hi *= 2.0
         if hi > 1e9:
             raise RuntimeError("tempering failed to bracket the balance root")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         b = balance(mid)
-        if abs(b - 1.0) <= tol:
+        if abs(b - 1.0) <= 1e-14:
             return d_hat ** mid
         if b > 1.0:
             lo = mid
@@ -369,8 +309,7 @@ class TheoremBatteryResult:
         ]
 
 
-def run_theorem_battery(n_toys: int = 100, seed: int = 0,
-                        shape: tuple[int, int] = (8, 8)) -> TheoremBatteryResult:
+def run_theorem_battery(n_toys: int = 100, seed: int = 0) -> TheoremBatteryResult:
     """Exhaustively check the balance theorems on random discrete joints.
 
     For each toy: the cross-entropy minimizer must be balanced and have a
@@ -388,7 +327,7 @@ def run_theorem_battery(n_toys: int = 100, seed: int = 0,
     temp_marg_min = math.inf
     violations = 0
     for _ in range(n_toys):
-        toy = DiscreteToy.random(rng, shape=shape)
+        toy = DiscreteToy.random(rng)
         d = toy.bayes_optimal
 
         opt = verify_balance_theorems(toy, d)

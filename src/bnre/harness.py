@@ -2,8 +2,9 @@
 
 A run is keyed by (benchmark, budget, seed, lambda); its dataset, its
 training streams, and all of its diagnostics derive their randomness from
-that key, so tables are reproducible bitwise and independent of worker
-count or scheduling. The method label follows the lambda: lambda = 0 is
+that key, so tables are reproducible bitwise and independent of the number
+of processes or their scheduling. An experiment spreads its runs over one
+process per usable CPU. The method label follows the lambda: lambda = 0 is
 plain NRE, anything larger is BNRE, which makes a lambda-sweep row at 0
 coincide with the corresponding NRE row. Held-out test sets come from a
 dedicated "test" stream namespace and therefore never overlap training
@@ -28,7 +29,7 @@ from .diagnostics import (DEFAULT_LEVELS, CoverageCurve, coverage_curve,
                           coverage_indicators, mean_log_density, sbc_rank,
                           sbc_uniformity, scaled_bias_variance)
 from .files import replacing
-from .nets import keep_blocks_on_caller, load_weights, save_weights
+from .nets import keep_blocks_on_caller, load_weights, save_weights, usable_cpus
 from .ratio import DegenerateGridError, posterior_grid
 from .rng import stable_seed, substream
 from .simulators import (Benchmark, Dataset, RegenerationExhausted, generate_dataset,
@@ -80,7 +81,6 @@ class ExperimentConfig:
     hidden_units: int = 64
     sbc_samples: int = 0
     output_dir: str = "results"
-    workers: int = 1
 
     def __post_init__(self):
         budgets = tuple(int(b) for b in self.budgets)
@@ -96,7 +96,6 @@ class ExperimentConfig:
         # invalid settings fail here, not as failed rows after datasets are written
         for ok, message in ((self.lam >= 0.0, "lambda must be nonnegative"),
                             (self.n_test >= 2, "n_test must be >= 2"),
-                            (self.workers >= 1, "workers must be >= 1"),
                             (self.epochs >= 1, "epochs must be >= 1"),
                             (all(b >= self.batch_size for b in budgets),
                              "budgets must each be >= batch_size"),
@@ -311,14 +310,12 @@ class PairDiagnostics:
 
 
 def diagnose_pairs(posterior_fn, pairs, levels=DEFAULT_LEVELS, sbc_samples: int = 0,
-                   sbc_rng: np.random.Generator | None = None,
-                   sbc_dim: int | None = None) -> PairDiagnostics:
+                   sbc_rng: np.random.Generator | None = None) -> PairDiagnostics:
     """Build each (theta*, x) pair's grid once and keep only its small results.
 
     ``posterior_fn`` maps an observable to a :class:`PosteriorGrid`. With
     ``sbc_samples`` > 0 each pair's SBC rank is drawn from its grid, in pair
-    order, from ``sbc_rng`` (see :func:`diagnostics.sbc_rank` for
-    ``sbc_dim``). No grid outlives its pair.
+    order, from ``sbc_rng``. No grid outlives its pair.
     """
     if sbc_samples and sbc_samples < 100:
         raise ValueError("sbc_samples must be 0 (off) or >= 100")
@@ -333,7 +330,7 @@ def diagnose_pairs(posterior_fn, pairs, levels=DEFAULT_LEVELS, sbc_samples: int 
         means.append(grid.mean())
         moments.append(grid.second_central_moment())
         if sbc_samples:
-            ranks.append(sbc_rank(grid, theta_star, sbc_rng, sbc_samples, sbc_dim))
+            ranks.append(sbc_rank(grid, theta_star, sbc_rng, sbc_samples))
     return PairDiagnostics(np.asarray(thetas), np.asarray(indicators, dtype=bool),
                            np.asarray(densities), np.asarray(means), np.asarray(moments),
                            np.asarray(ranks) if sbc_samples else None)
@@ -464,13 +461,14 @@ def _execute_many(config: ExperimentConfig, specs: list[tuple[int, int, float]])
     for budget in sorted({b for b, _, _ in specs}):
         for seed in sorted({s for _, s, _ in specs}):
             _ensure_dataset(benchmark, budget, seed, out)
-    if config.workers > 1:
-        # the worker processes already share the cores: no forward splits its blocks
-        with ProcessPoolExecutor(max_workers=config.workers,
-                                 initializer=keep_blocks_on_caller) as pool:
-            futures = [pool.submit(execute_run, config, *spec) for spec in specs]
-            return [f.result() for f in futures]
-    return [execute_run(config, *spec) for spec in specs]
+    processes = min(usable_cpus(), len(specs))
+    if processes == 1:
+        # one run keeps every core for its grid forwards
+        return [execute_run(config, *spec) for spec in specs]
+    # the processes already share the cores: no forward splits its blocks
+    with ProcessPoolExecutor(processes, initializer=keep_blocks_on_caller) as pool:
+        futures = [pool.submit(execute_run, config, *spec) for spec in specs]
+        return [f.result() for f in futures]
 
 
 def run_experiment(config: ExperimentConfig) -> ResultsTable:

@@ -43,6 +43,7 @@ __all__ = [
     "load_weights",
     "one_blas_thread",
     "keep_blocks_on_caller",
+    "usable_cpus",
 ]
 
 ADAM_BETA1 = 0.9
@@ -111,11 +112,18 @@ _POOL: tuple[int, ThreadPoolExecutor | None, int] | None = None
 _BUFFERS = threading.local()
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, which ``taskset`` narrows."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def keep_blocks_on_caller() -> None:
     """Evaluate every block on the calling thread, in this process.
 
     For processes that already share the cores, such as the harness's
-    ``workers > 1`` pool.
+    process pool.
     """
     global _POOL
     _POOL = (os.getpid(), None, 1)
@@ -127,8 +135,7 @@ def _block_pool() -> tuple[ThreadPoolExecutor | None, int]:
     pid = os.getpid()
     if _POOL is None or _POOL[0] != pid:
         setter = _blas_threads_setter()
-        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
+        cpus = usable_cpus()
         if setter is None or cpus < 2:
             _POOL = (pid, None, 1)
         else:
@@ -181,10 +188,7 @@ class ClassifierNet:
     must compose; construction rejects anything else.
     """
 
-    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray],
-                 activation: str = "relu"):
-        if activation != "relu":
-            raise ValueError(f"unsupported activation: {activation!r}")
+    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
         if len(weights) != len(biases) or not weights:
             raise ValueError("need one bias vector per weight matrix")
         for k, (w, b) in enumerate(zip(weights, biases)):
@@ -198,7 +202,6 @@ class ClassifierNet:
             raise ValueError("output layer must produce a single logit")
         self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
         self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
-        self.activation = activation
 
     @classmethod
     def initialize(cls, input_dim: int, hidden_layers: int, hidden_units: int,
@@ -229,12 +232,11 @@ class ClassifierNet:
         return [w.shape for w in self.weights]
 
     @classmethod
-    def from_flat(cls, flat: np.ndarray, shapes: list[tuple[int, ...]],
-                  activation: str = "relu") -> "ClassifierNet":
+    def from_flat(cls, flat: np.ndarray, shapes: list[tuple[int, ...]]) -> "ClassifierNet":
         """Network whose weights, then biases, are views into one flat buffer."""
         sizes = [math.prod(s) for s in shapes]
         arrays = [a.reshape(s) for a, s in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
-        return cls(arrays[:len(shapes) // 2], arrays[len(shapes) // 2:], activation)
+        return cls(arrays[:len(shapes) // 2], arrays[len(shapes) // 2:])
 
     def parameters(self) -> list[np.ndarray]:
         return self.weights + self.biases
@@ -329,16 +331,20 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
             raise DivergenceError("non-finite parameter after update; run aborted")
 
 
-def lr_schedule_update(state: OptimizerState, val_loss: float) -> None:
-    """Divide the learning rate by 10 after 10 epochs without improvement."""
+def lr_schedule_update(state: OptimizerState, val_loss: float) -> bool:
+    """Divide the learning rate by 10 after 10 epochs without improvement.
+
+    Returns whether ``val_loss`` is strictly below every earlier one.
+    """
     if val_loss < state.best_val_loss:
         state.best_val_loss = val_loss
         state.plateau_count = 0
-    else:
-        state.plateau_count += 1
-        if state.plateau_count >= PLATEAU_PATIENCE:
-            state.lr /= PLATEAU_FACTOR
-            state.plateau_count = 0
+        return True
+    state.plateau_count += 1
+    if state.plateau_count >= PLATEAU_PATIENCE:
+        state.lr /= PLATEAU_FACTOR
+        state.plateau_count = 0
+    return False
 
 
 def save_weights(net: ClassifierNet, path) -> None:
@@ -348,7 +354,7 @@ def save_weights(net: ClassifierNet, path) -> None:
         "layer_shapes": [[int(o), int(i)] for o, i in net.layer_shapes],
         "weights": [float(v) for w in net.weights for v in w.reshape(-1)],
         "biases": [float(v) for b in net.biases for v in b.reshape(-1)],
-        "activation": net.activation,
+        "activation": "relu",
     }
     with replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
@@ -362,6 +368,8 @@ def load_weights(path) -> ClassifierNet:
     if doc.get("version") != WEIGHTS_VERSION:
         raise ValueError(
             f"unsupported weights version {doc.get('version')!r}, expected {WEIGHTS_VERSION}")
+    if doc.get("activation", "relu") != "relu":
+        raise ValueError(f"unsupported activation: {doc['activation']!r}")
     shapes = [tuple(s) for s in doc["layer_shapes"]]
     wflat = np.asarray(doc["weights"], dtype=np.float64)
     bflat = np.asarray(doc["biases"], dtype=np.float64)
@@ -369,5 +377,4 @@ def load_weights(path) -> ClassifierNet:
             or bflat.size != sum(o for o, _ in shapes)):
         raise ValueError("weight payload does not match declared layer shapes")
     return ClassifierNet.from_flat(np.concatenate([wflat, bflat]),
-                                   shapes + [(out,) for out, _ in shapes],
-                                   doc.get("activation", "relu"))
+                                   shapes + [(out,) for out, _ in shapes])

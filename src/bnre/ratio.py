@@ -108,13 +108,10 @@ def _cached_axes(lower: tuple, upper: tuple, shape: tuple):
     return tuple(axes)
 
 
-def grid_axes(benchmark: Benchmark, shape: tuple[int, ...] | None = None) -> tuple[np.ndarray, ...]:
-    """Cell-center axes covering exactly the inference prior box."""
+def grid_axes(benchmark: Benchmark) -> tuple[np.ndarray, ...]:
+    """Cell-center axes of ``benchmark.grid_shape``, covering exactly the inference box."""
     box = benchmark.inference_prior
-    shape = tuple(shape or benchmark.grid_shape)
-    if len(shape) != box.dim:
-        raise ValueError("grid shape must have one resolution per inferred dimension")
-    return _cached_axes(tuple(box.lower), tuple(box.upper), shape)
+    return _cached_axes(tuple(box.lower), tuple(box.upper), benchmark.grid_shape)
 
 
 # read-only theta-feature blocks keyed by (benchmark class, box, grid shape):
@@ -142,8 +139,7 @@ def _grid_features(benchmark: Benchmark, axes: tuple[np.ndarray, ...],
     return np.concatenate([t_feats, x_tiled], axis=1)
 
 
-def posterior_grid(net: ClassifierNet, benchmark: Benchmark, x: np.ndarray,
-                   shape: tuple[int, ...] | None = None) -> PosteriorGrid:
+def posterior_grid(net: ClassifierNet, benchmark: Benchmark, x: np.ndarray) -> PosteriorGrid:
     """Approximate posterior on the grid, exp'd with max-subtraction.
 
     Grid-based credible regions are only computed for inference dimension
@@ -151,7 +147,7 @@ def posterior_grid(net: ClassifierNet, benchmark: Benchmark, x: np.ndarray,
     """
     if len(benchmark.inference_dims) > 2:
         raise ValueError("grid posteriors support at most 2 inferred dimensions")
-    axes = grid_axes(benchmark, shape)
+    axes = grid_axes(benchmark)
     feats = _grid_features(benchmark, axes, x)
     log_post = net.logits(feats)  # + log prior, constant over the box
     finite = np.isfinite(log_post)
@@ -168,13 +164,12 @@ def posterior_grid(net: ClassifierNet, benchmark: Benchmark, x: np.ndarray,
     return PosteriorGrid(axes, dens.reshape(shape_out), np.asarray(x, dtype=np.float64))
 
 
-def tractable_posterior_grid(benchmark: Tractable1D, x: np.ndarray,
-                             shape: tuple[int, ...] | None = None) -> PosteriorGrid:
+def tractable_posterior_grid(benchmark: Tractable1D, x: np.ndarray) -> PosteriorGrid:
     """Exact posterior grid for the tractable benchmark (calibration oracle)."""
     if not isinstance(benchmark, Tractable1D):
         raise ValueError("exact posterior is only available for tractable1d")
-    axes = grid_axes(benchmark, shape)
-    dens = tractable_posterior(x, axes[0], sigma_x=benchmark.sigma_x)
+    axes = grid_axes(benchmark)
+    dens = tractable_posterior(x, axes[0])
     return PosteriorGrid(axes, dens, np.asarray(x, dtype=np.float64))
 
 

@@ -3,8 +3,8 @@
 Benchmarks
 ----------
 ``tractable1d``
-    theta ~ U(-5, 5); x = theta + eps with eps ~ N(0, sigma_x), sigma_x = 1
-    by default. The Gaussian likelihood admits an exact grid posterior
+    theta ~ U(-5, 5); x = theta + eps with eps ~ N(0, 1). The Gaussian
+    likelihood admits an exact grid posterior
     (:func:`tractable_posterior`) used as the calibration oracle.
 
 ``weinberg``
@@ -54,7 +54,6 @@ __all__ = [
     "FailureCounter",
     "SimulationCapExceeded",
     "RegenerationExhausted",
-    "ReactionSystem",
     "get_benchmark",
     "benchmark_names",
     "sample_prior",
@@ -192,14 +191,13 @@ class Tractable1D(Benchmark):
     inference_dims = (0,)
     grid_shape = (1024,)
 
-    def __init__(self, sigma_x: float = 1.0):
+    SIGMA_X = 1.0
+
+    def __init__(self):
         super().__init__(BoxPrior(np.array([-5.0]), np.array([5.0])))
-        if sigma_x <= 0:
-            raise ValueError("sigma_x must be positive")
-        self.sigma_x = float(sigma_x)
 
     def simulate(self, theta, rng):
-        return np.array([theta[0] + rng.normal(0.0, self.sigma_x)])
+        return np.array([theta[0] + rng.normal(0.0, self.SIGMA_X)])
 
     def x_features(self, x):
         return np.asarray(x, dtype=np.float64) / 5.0
@@ -212,14 +210,14 @@ class Weinberg(Benchmark):
     grid_shape = (1024,)
 
     MZ = 90.0
+    BEAM_ENERGY_GEV = 42.0
     XSEC_NORM = 8.0 / 3.0
 
-    def __init__(self, beam_energy_gev: float = 42.0):
+    def __init__(self):
         super().__init__(BoxPrior(np.array([0.5]), np.array([1.5])))
-        self.beam_energy_gev = float(beam_energy_gev)
 
     def _asymmetry(self, g: float) -> float:
-        sqrt_s = 2.0 * self.beam_energy_gev
+        sqrt_s = 2.0 * self.BEAM_ENERGY_GEV
         return 2.0 * np.tanh(10.0 * (sqrt_s - self.MZ) / self.MZ) * g
 
     def _diff_xsec(self, costheta, g: float):
@@ -287,39 +285,6 @@ class MG1(Benchmark):
         return np.log1p(np.asarray(x, dtype=np.float64))
 
 
-@dataclass(frozen=True)
-class ReactionSystem:
-    """Mass-action reaction network: propensity_r = rate_r * prod_s n_s^order."""
-
-    orders: np.ndarray   # [reactions, species] reactant multiplicities
-    changes: np.ndarray  # [reactions, species] state change per firing
-
-    def __post_init__(self):
-        orders = np.asarray(self.orders, dtype=np.float64)
-        changes = np.asarray(self.changes, dtype=np.int64)
-        if orders.shape != changes.shape or orders.ndim != 2:
-            raise ValueError("orders and changes must be matching 2-d arrays")
-        object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "changes", changes)
-
-
-LOTKA_VOLTERRA_REACTIONS = ReactionSystem(
-    # species layout: (prey, predator)
-    orders=np.array([
-        [1.0, 1.0],   # predator reproduction, rate * prey * predator
-        [0.0, 1.0],   # predator mortality
-        [1.0, 0.0],   # prey reproduction
-        [1.0, 1.0],   # prey mortality through predation
-    ]),
-    changes=np.array([
-        [0, 1],
-        [0, -1],
-        [1, 0],
-        [-1, 0],
-    ]),
-)
-
-
 class LotkaVolterra(Benchmark):
     name = "lotka_volterra"
     x_dim = 40
@@ -331,37 +296,17 @@ class LotkaVolterra(Benchmark):
     GRID_POINTS = 20
     EVENT_CAP = 100_000
 
-    def __init__(self, raw_series: bool = True):
+    def __init__(self):
         super().__init__(BoxPrior(np.full(4, -4.0), np.full(4, 1.0)))
-        self.raw_series = bool(raw_series)
-        if not self.raw_series:
-            # per-series mean / log-variance / lag-1 autocorrelation
-            self.x_dim = 6
 
     def simulate(self, theta, rng):
         rates = np.exp(np.asarray(theta, dtype=np.float64))
-        series = gillespie_run(LOTKA_VOLTERRA_REACTIONS, rates,
-                               np.array(self.INITIAL_POPULATIONS, dtype=np.int64),
-                               self.HORIZON, self.GRID_POINTS, rng,
-                               event_cap=self.EVENT_CAP)
-        if self.raw_series:
-            return series.T.reshape(-1)
-        return np.concatenate([self._summaries(series[:, s]) for s in range(2)])
-
-    @staticmethod
-    def _summaries(series: np.ndarray) -> np.ndarray:
-        mean = series.mean()
-        var = series.var()
-        centered = series - mean
-        denom = np.sum(centered ** 2)
-        acf1 = np.sum(centered[1:] * centered[:-1]) / denom if denom > 0 else 0.0
-        return np.array([mean, np.log1p(var), acf1])
+        series = gillespie_run(rates, self.INITIAL_POPULATIONS, self.HORIZON,
+                               self.GRID_POINTS, rng, event_cap=self.EVENT_CAP)
+        return series.T.reshape(-1)
 
     def x_features(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if self.raw_series:
-            return np.log1p(x)
-        return x
+        return np.log1p(np.asarray(x, dtype=np.float64))
 
 
 _REGISTRY = {
@@ -377,12 +322,12 @@ def benchmark_names() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def get_benchmark(name: str, **kwargs) -> Benchmark:
+def get_benchmark(name: str) -> Benchmark:
     try:
         cls = _REGISTRY[name]
     except KeyError:
         raise ValueError(f"unknown benchmark {name!r}; known: {benchmark_names()}") from None
-    return cls(**kwargs)
+    return cls()
 
 
 def sample_prior(benchmark: Benchmark, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -484,35 +429,42 @@ def mg1_quantiles(interdeparture_times: np.ndarray) -> np.ndarray:
     return np.quantile(times, MG1.QUANTILE_LEVELS)
 
 
-def gillespie_run(system: ReactionSystem, rates: np.ndarray, initial: np.ndarray,
-                  horizon: float, n_points: int, rng: np.random.Generator,
-                  event_cap: int = 100_000) -> np.ndarray:
-    """Exact stochastic simulation recorded on a fixed grid by zero-order hold.
+# (prey, predator) change per firing of each Lotka-Volterra reaction
+_LV_CHANGES = ((0, 1), (0, -1), (1, 0), (-1, 0))
 
-    Returns populations with shape [n_points, n_species]. Raises
+
+def gillespie_run(rates: np.ndarray, initial: tuple[int, int], horizon: float,
+                  n_points: int, rng: np.random.Generator,
+                  event_cap: int = 100_000) -> np.ndarray:
+    """Exact Lotka-Volterra jump process recorded on a fixed grid by zero-order hold.
+
+    The four mass-action reactions (predator reproduction, predator
+    mortality, prey reproduction, predation) fire at propensities
+    ``rates * [prey * predator, predator, prey, prey * predator]``. Returns
+    the (prey, predator) populations with shape [n_points, 2]. Raises
     :class:`SimulationCapExceeded` once more than ``event_cap`` reaction
     events fire before the horizon.
     """
     rates = np.asarray(rates, dtype=np.float64)
-    state = np.asarray(initial, dtype=np.int64).copy()
-    if np.any(rates < 0):
-        raise ValueError("rates must be nonnegative")
-    if np.any(state < 0):
+    prey, pred = (int(n) for n in initial)
+    if rates.shape != (4,) or np.any(rates < 0):
+        raise ValueError("rates must be four nonnegative numbers")
+    if prey < 0 or pred < 0:
         raise ValueError("populations must be nonnegative")
     grid = np.linspace(0.0, horizon, n_points)
-    out = np.empty((n_points, state.size), dtype=np.float64)
+    out = np.empty((n_points, 2), dtype=np.float64)
     t = 0.0
     pointer = 0
     events = 0
     while True:
-        propensities = rates * np.prod(
-            np.power(state[None, :].astype(np.float64), system.orders), axis=1)
+        fp, fq = float(prey), float(pred)
+        propensities = rates * np.array([fp * fq, fq, fp, fp * fq])
         total = propensities.sum()
         if total <= 0.0:
             break
         t_next = t + rng.exponential(1.0 / total)
         while pointer < n_points and grid[pointer] < t_next:
-            out[pointer] = state
+            out[pointer] = prey, pred
             pointer += 1
         if t_next >= horizon:
             break
@@ -521,29 +473,26 @@ def gillespie_run(system: ReactionSystem, rates: np.ndarray, initial: np.ndarray
             raise SimulationCapExceeded(
                 f"event cap {event_cap} exceeded at t={t_next:.3f}")
         u = rng.uniform(0.0, total)
-        reaction = int(np.searchsorted(np.cumsum(propensities), u))
-        reaction = min(reaction, len(rates) - 1)
-        state = state + system.changes[reaction]
+        reaction = min(int(np.searchsorted(np.cumsum(propensities), u)), 3)
+        prey += _LV_CHANGES[reaction][0]
+        pred += _LV_CHANGES[reaction][1]
         t = t_next
-    while pointer < n_points:
-        out[pointer] = state
-        pointer += 1
+    out[pointer:] = prey, pred
     return out
 
 
-def tractable_posterior(x: np.ndarray, grid: np.ndarray,
-                        sigma_x: float = 1.0) -> np.ndarray:
+def tractable_posterior(x: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Exact tractable1d posterior densities on a regular grid.
 
     p(theta | x) is proportional to the Gaussian likelihood N(x; theta,
-    sigma_x^2) restricted to the prior box (the grid is assumed to cover
+    SIGMA_X^2) restricted to the prior box (the grid is assumed to cover
     exactly the box); densities are renormalized empirically on the grid
     so they integrate to one with the grid's cell width.
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     grid = np.asarray(grid, dtype=np.float64)
     cell = grid[1] - grid[0]
-    log_like = -0.5 * ((x[0] - grid) / sigma_x) ** 2
+    log_like = -0.5 * ((x[0] - grid) / Tractable1D.SIGMA_X) ** 2
     log_like -= log_like.max()
     dens = np.exp(log_like)
     dens /= dens.sum() * cell

@@ -364,7 +364,6 @@ def train(benchmark: Benchmark, dataset: Dataset, config: TrainConfig
     theta_cols = f_theta.shape[1]
 
     history = TrainHistory(train_indices=train_idx.copy(), val_indices=val_idx.copy())
-    best_loss = math.inf
     best_flat = flat.copy()
     n_train = len(train_idx)
 
@@ -401,9 +400,8 @@ def train(benchmark: Benchmark, dataset: Dataset, config: TrainConfig
         history.balance.append(balance)
         history.lr.append(state.lr)
 
-        if val_loss < best_loss:
-            best_loss = val_loss
-            best_flat = flat.copy()
-        lr_schedule_update(state, val_loss)
+        # the schedule's best loss is the one tracker of the best epoch
+        if lr_schedule_update(state, val_loss):
+            best_flat[:] = flat
 
     return ClassifierNet.from_flat(best_flat, shapes), history

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -70,3 +71,41 @@ def run_fresh_python(code: str, timeout: float = 300.0):
                           text=True, timeout=timeout)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+@dataclass
+class HpdResult:
+    """Highest-density credible region as a >=-threshold cell set."""
+
+    threshold: float
+    region: np.ndarray        # boolean mask over grid cells
+    achieved_mass: float
+    level: float
+    flagged: bool             # ties forced the mass away from the level
+
+    @property
+    def cell_indices(self) -> np.ndarray:
+        return np.flatnonzero(self.region.reshape(-1))
+
+
+def hpd_threshold(grid, level: float) -> HpdResult:
+    """Exact density threshold of the 1-alpha highest-density region.
+
+    The oracle for ``diagnostics.coverage_indicators``: cells sorted by
+    decreasing density are added until their cumulative mass reaches the
+    level; the threshold is the density of the last cell added. Cells tied
+    at the threshold are all included (conservative), which can leave the
+    achieved mass above the smallest prefix reaching the level on flat
+    regions; such results are flagged.
+    """
+    if not 0.0 < level < 1.0:
+        raise ValueError("level must be in (0, 1)")
+    dens = grid.densities.reshape(-1)
+    masses = dens * grid.cell_volume
+    order = np.argsort(dens)[::-1]
+    k = min(int(np.searchsorted(np.cumsum(masses[order]), level)), dens.size - 1)
+    threshold = float(dens[order[k]])
+    region = grid.densities >= threshold
+    achieved = float(masses[dens >= threshold].sum())
+    return HpdResult(threshold, region, achieved, level,
+                     flagged=int(region.sum()) > k + 1)

@@ -2,9 +2,10 @@
 
 Each test prints one PASS/FAIL line with its measured quantities, then
 asserts. The heavyweight budget/seed sweeps are shared session fixtures, so
-criteria 4, 5, and 7 reuse one set of trained runs. Expected total runtime
-is roughly 15-25 minutes on one desktop core; the stated per-criterion
-runtime bounds are asserted where the criteria pin them. All of them carry
+criteria 4, 5, and 7 reuse one set of trained runs. Each experiment spreads
+its runs over the usable CPUs; on a shared 2-vCPU machine the eight criteria
+take 4-6 minutes. The stated per-criterion runtime bounds are asserted
+where the criteria pin them. All of them carry
 the ``acceptance`` marker, so ``pytest -m "not acceptance"`` runs the rest.
 """
 

@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
-from bnre import harness
+from bnre import cli, harness
 from bnre.cli import main, parse_levels
+from bnre.nets import ClassifierNet, save_weights
 from bnre.simulators import load_dataset
 from bnre.training import TrainingDiverged, TrainHistory
 
@@ -52,6 +54,27 @@ def test_simulate_train_diagnose_pipeline(tmp_path, capsys):
     first = curve_lines[1].split(",")
     assert float(first[0]) == pytest.approx(0.1)
     assert 0.0 <= float(first[1]) <= 1.0
+
+
+def test_diagnose_serialization_error_keeps_previous_diagnostics(tmp_path, monkeypatch):
+    weights = tmp_path / "weights.json"
+    save_weights(ClassifierNet.initialize(2, 1, 8, np.random.default_rng(0)), weights)
+    out = tmp_path / "diag"
+    argv = ["diagnose", "--weights", str(weights), "--benchmark", "tractable1d",
+            "--n-test", "10", "--levels", "0.1:0.9:0.2", "--out", str(out)]
+    assert main(argv) == 0
+    before = (out / "diagnostics.json").read_bytes()
+
+    def unserializable_variance(*args, **kwargs):
+        metrics = harness.evaluate_net(*args, **kwargs)
+        metrics["variance"] = object()  # the last key: every other one is written first
+        return metrics
+
+    monkeypatch.setattr(cli, "evaluate_net", unserializable_variance)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        main(argv)
+    assert (out / "diagnostics.json").read_bytes() == before
+    assert sorted(p.name for p in out.iterdir()) == ["coverage.csv", "diagnostics.json"]
 
 
 def test_experiment_and_lambda_sweep_commands(tmp_path):

@@ -98,21 +98,37 @@ class TestRunExperiment:
             for path in sorted((first / sub).iterdir()):
                 assert path.read_bytes() == (second / sub / path.name).read_bytes()
 
-    def test_worker_pool_matches_serial(self, completed_experiment, tmp_path):
-        _, serial = completed_experiment
-        parallel = run_experiment(tiny_config(tmp_path / "par", workers=2))
-        assert parallel.comparable_rows() == serial.comparable_rows()
+    def test_worker_pool_matches_serial(self, completed_experiment, tmp_path, monkeypatch):
+        _, reference = completed_experiment
+        for cpus in (1, 2):
+            monkeypatch.setattr(harness, "usable_cpus", lambda cpus=cpus: cpus)
+            table = run_experiment(tiny_config(tmp_path / f"cpus{cpus}"))
+            assert table.comparable_rows() == reference.comparable_rows()
 
-    def test_worker_pool_after_a_multi_block_forward_matches_serial(self, tmp_path):
+    def test_worker_pool_after_a_multi_block_forward_matches_serial(self, tmp_path,
+                                                                    monkeypatch):
         # the serial run's 128x128 grids start this process's forward threads;
         # the forked workers must neither reuse nor wait for them
         config = dict(benchmark="mg1", budgets=(64,), seeds=(0, 1), methods=("bnre",),
                       n_test=4, epochs=2)
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 1)
         serial = run_experiment(tiny_config(tmp_path / "serial", **config))
         assert nets._POOL is not None and nets._POOL[0] == os.getpid()
-        parallel = run_experiment(tiny_config(tmp_path / "par", workers=2, **config))
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
+        parallel = run_experiment(tiny_config(tmp_path / "par", **config))
         assert serial.all_ok
         assert parallel.comparable_rows() == serial.comparable_rows()
+
+    def test_one_run_experiment_builds_no_process_pool(self, tmp_path, monkeypatch):
+        # a lone run keeps every core for its grid forwards, however many there are
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-run experiment built a process pool")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 8)
+        table = run_experiment(tiny_config(tmp_path / "one", budgets=(64,), seeds=(0,),
+                                           methods=("bnre",)))
+        assert len(table.rows) == 1 and table.all_ok
 
     def test_timing_csv_records_phase_wall_times(self, completed_experiment):
         config, table = completed_experiment
@@ -393,7 +409,7 @@ class TestLambdaSweep:
 
 class TestExperimentConfig:
     def test_json_round_trip(self, tmp_path):
-        config = tiny_config(tmp_path / "x", workers=3)
+        config = tiny_config(tmp_path / "x", sbc_samples=128, test_seed=7)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config.to_json_dict()))
         loaded = ExperimentConfig.from_json(path)
@@ -405,6 +421,14 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="typo_field"):
             ExperimentConfig.from_json(path)
 
+    def test_config_json_with_workers_rejected(self, tmp_path):
+        # the process count follows the usable CPUs; a config cannot set it
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**tiny_config(tmp_path / "x").to_json_dict(),
+                                    "workers": 2}))
+        with pytest.raises(ValueError, match=r"unknown config fields: \['workers'\]"):
+            ExperimentConfig.from_json(path)
+
     def test_unsorted_budgets_rejected(self):
         with pytest.raises(ValueError, match="ascending"):
             ExperimentConfig(budgets=(1024, 256))
@@ -414,7 +438,7 @@ class TestExperimentConfig:
             ExperimentConfig(methods=("nre", "snre"))
 
     @pytest.mark.parametrize("field, value", [
-        ("n_test", 1), ("lam", -1.0), ("lam", float("nan")), ("workers", 0),
+        ("n_test", 1), ("lam", -1.0), ("lam", float("nan")), ("epochs", -1),
         ("epochs", 0), ("sbc_samples", 99), ("sbc_samples", -1), ("budgets", (8, 1024)),
         ("levels", (0.0, 0.5)), ("levels", (0.5, 1.0))])
     def test_out_of_range_fields_rejected(self, field, value):
@@ -422,7 +446,7 @@ class TestExperimentConfig:
             ExperimentConfig(**{field: value})
 
     def test_boundary_values_accepted(self):
-        ExperimentConfig(n_test=2, lam=0.0, workers=1, epochs=1, sbc_samples=100)
+        ExperimentConfig(n_test=2, lam=0.0, epochs=1, sbc_samples=100)
         ExperimentConfig(sbc_samples=0)
         ExperimentConfig(budgets=(256,), batch_size=256)
 

@@ -336,7 +336,8 @@ class TestLrSchedule:
         state = OptimizerState(m=[], v=[], lr=1e-3)
         expected_lr, best, stall = 1e-3, math.inf, 0
         for loss in losses:
-            lr_schedule_update(state, loss)
+            # the returned flag is what train keeps its best weights on
+            assert lr_schedule_update(state, loss) == (loss < best)
             if loss < best:
                 best, stall = loss, 0
             else:
@@ -417,4 +418,15 @@ class TestWeightPersistence:
         doc["weights"] = doc["weights"][:-1]
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="payload"):
+            load_weights(path)
+
+    def test_activation_other_than_relu_rejected(self, tmp_path):
+        net = random_net(np.random.default_rng(12), [2, 4, 1])
+        path = tmp_path / "weights.json"
+        save_weights(net, path)
+        doc = json.loads(path.read_text())
+        assert doc["activation"] == "relu"
+        doc["activation"] = "tanh"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="unsupported activation: 'tanh'"):
             load_weights(path)

@@ -5,14 +5,13 @@ import pytest
 from scipy.special import expit
 from scipy.stats import norm
 
-from bnre.diagnostics import hpd_threshold
 from bnre.nets import ClassifierNet
-from bnre.ratio import (DegenerateGridError, _grid_theta_features, grid_axes,
+from bnre.ratio import (DegenerateGridError, _cached_axes, _grid_theta_features, grid_axes,
                         posterior_grid, total_variation, tractable_posterior_grid)
 from bnre.rng import substream
-from bnre.simulators import generate_dataset, get_benchmark
+from bnre.simulators import SlcpMarginal, generate_dataset, get_benchmark
 
-from conftest import random_net
+from conftest import hpd_threshold, random_net
 
 
 def zero_net(input_dim):
@@ -77,11 +76,12 @@ class TestLogRatio:
         assert max(errors) <= 0.5
 
     def test_wrong_theta_dimension_rejected(self):
-        b = get_benchmark("slcp_marginal")
-        net = zero_net(10)
-        with pytest.raises(ValueError, match="inferred dimension"):
-            # one resolution per full-theta dimension, not per inferred one
-            posterior_grid(net, b, np.zeros(8), shape=(8,) * 5)
+        class ThreeInferred(SlcpMarginal):
+            inference_dims = (0, 1, 2)
+            grid_shape = (8, 8, 8)
+
+        with pytest.raises(ValueError, match="at most 2 inferred dimensions"):
+            posterior_grid(zero_net(11), ThreeInferred(), np.zeros(8))
 
     def test_feature_width_mismatch_rejected(self, tractable_benchmark):
         net = zero_net(7)
@@ -214,7 +214,9 @@ class TestGridWorkspace:
         assert _grid_theta_features(again, grid_axes(again)) is first
 
     def test_grid_shape_is_part_of_the_cache_key(self, tractable_benchmark):
-        coarse = _grid_theta_features(tractable_benchmark, grid_axes(tractable_benchmark, (16,)))
+        box = tractable_benchmark.inference_prior
+        coarse_axes = _cached_axes(tuple(box.lower), tuple(box.upper), (16,))
+        coarse = _grid_theta_features(tractable_benchmark, coarse_axes)
         fine = _grid_theta_features(tractable_benchmark, grid_axes(tractable_benchmark))
         assert coarse.shape == (16, 1) and fine.shape == (1024, 1)
 

@@ -193,7 +193,7 @@ class TestTabularOptimum:
 
     @pytest.mark.parametrize("lam", [0.0, 100.0])
     def test_tabular_classifier_converges_to_bayes_optimal(self, lam):
-        toy = DiscreteToy.random(substream("tab", 3), shape=(6, 6))
+        toy = DiscreteToy(substream("tab", 3).gamma(1.0, size=(6, 6)))
         pj = toy.joint
         pm = toy.product
         z = np.zeros(pj.shape)
@@ -262,7 +262,7 @@ class TestTraining:
         config = TrainConfig(lam=float(2 ** 15), epochs=100, seed=stable_seed("collapse"))
         net, _ = train(tractable, dataset, config)
         test = generate_dataset(tractable, 20, seed=1, namespace="test")
-        prior_grid = tractable_posterior_grid(tractable, np.array([0.0]), shape=(1024,))
+        prior_grid = tractable_posterior_grid(tractable, np.array([0.0]))
         prior_grid.densities[:] = 0.1
         for x in test.x:
             approx = posterior_grid(net, tractable, x)
