@@ -13,8 +13,7 @@ from .harness import ExperimentConfig, ResultsTable, lambda_sweep, run_experimen
 from .nets import ClassifierNet, load_weights, save_weights
 from .ratio import PosteriorGrid, posterior_grid
 from .simulators import (Benchmark, Dataset, benchmark_names, generate_dataset,
-                         get_benchmark, load_dataset, sample_prior, save_dataset,
-                         simulate)
+                         get_benchmark, load_dataset, save_dataset, simulate)
 from .training import TrainConfig, TrainHistory, bce_loss, bnre_loss, train
 
 __version__ = "0.1.0"
@@ -42,7 +41,6 @@ __all__ = [
     "posterior_grid",
     "run_experiment",
     "run_theorem_battery",
-    "sample_prior",
     "save_dataset",
     "save_weights",
     "simulate",

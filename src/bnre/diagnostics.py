@@ -59,7 +59,6 @@ class CoverageCurve:
 
     levels: np.ndarray
     coverage: np.ndarray
-    n_test: int
     se: np.ndarray
     auc: float
     auc_se: float
@@ -111,7 +110,7 @@ def coverage_curve(indicators: np.ndarray, levels: np.ndarray) -> CoverageCurve:
     se = np.sqrt(coverage * (1.0 - coverage) / n)
     per_pair_auc = _auc_from_curve(levels, indicators)
     auc_se = float(per_pair_auc.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
-    return CoverageCurve(levels, coverage, n, se, float(per_pair_auc.mean()), auc_se)
+    return CoverageCurve(levels, coverage, se, float(per_pair_auc.mean()), auc_se)
 
 
 def mean_log_density(densities: np.ndarray) -> tuple[float, int]:

@@ -34,7 +34,8 @@ from .ratio import DegenerateGridError, posterior_grid
 from .rng import stable_seed, substream
 from .simulators import (Benchmark, Dataset, RegenerationExhausted, generate_dataset,
                          get_benchmark, load_dataset, save_dataset)
-from .training import TrainConfig, TrainingDiverged, derangement_against, train
+from .training import (TrainConfig, TrainingDiverged, balance_statistic, derangement_against,
+                       train)
 
 __all__ = [
     "ExperimentConfig",
@@ -93,14 +94,14 @@ class ExperimentConfig:
             raise ValueError("methods must be a subset of {'nre', 'bnre'}")
         object.__setattr__(self, "methods", methods)
         object.__setattr__(self, "levels", tuple(float(v) for v in self.levels))
-        # invalid settings fail here, not as failed rows after datasets are written
-        for ok, message in ((self.lam >= 0.0, "lambda must be nonnegative"),
-                            (self.n_test >= 2, "n_test must be >= 2"),
-                            (self.epochs >= 1, "epochs must be >= 1"),
+        # invalid settings fail here, not as failed rows after datasets are written;
+        # TrainConfig checks the training fields
+        self.train_config(0, 0, self.lam)
+        for ok, message in ((self.n_test >= 2, "n_test must be >= 2"),
                             (all(b >= self.batch_size for b in budgets),
                              "budgets must each be >= batch_size"),
-                            (all(0.0 < v < 1.0 for v in self.levels),
-                             "levels must lie strictly inside (0, 1)"),
+                            (self.levels and all(0.0 < v < 1.0 for v in self.levels),
+                             "levels must be nonempty and lie strictly inside (0, 1)"),
                             (self.sbc_samples == 0 or self.sbc_samples >= 100,
                              "sbc_samples must be 0 (off) or >= 100")):
             if not ok:
@@ -365,7 +366,7 @@ def evaluate_net(net, benchmark: Benchmark, test_set: Dataset,
     marg = derangement_against(np.arange(len(test_set)), rng)
     probs_joint = expit(net.logits(np.concatenate([f_theta, f_x], axis=1)))
     probs_marg = expit(net.logits(np.concatenate([f_theta, f_x[marg]], axis=1)))
-    balance_gap = abs(float(probs_joint.mean() + probs_marg.mean()) - 1.0)
+    balance_gap = abs(balance_statistic(probs_joint, probs_marg) - 1.0)
 
     result = {
         "curve": curve,

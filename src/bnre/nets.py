@@ -273,30 +273,28 @@ class ClassifierNet:
 class OptimizerState:
     """Adam accumulators plus the validation-plateau learning-rate schedule.
 
-    ``scratch`` holds two arrays the shape of each accumulator, where
+    ``scratch`` holds two arrays the shape of the accumulators, where
     :func:`adam_step` builds its update without allocating.
     """
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step_count: int = 0
     lr: float = 1e-3
     plateau_count: int = 0
     best_val_loss: float = field(default=math.inf)
-    scratch: list[np.ndarray] = field(init=False, repr=False)
+    scratch: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.scratch = [np.empty((2, *m.shape)) for m in self.m]
+        self.scratch = np.empty((2, *self.m.shape))
 
     @classmethod
-    def for_params(cls, params: list[np.ndarray], lr: float) -> "OptimizerState":
-        return cls(m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params], lr=lr)
+    def for_params(cls, params: np.ndarray, lr: float) -> "OptimizerState":
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params), lr=lr)
 
 
-def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
-              state: OptimizerState) -> None:
-    """In-place Adam update (beta1=0.9, beta2=0.999, eps=1e-8).
+def adam_step(p: np.ndarray, g: np.ndarray, state: OptimizerState) -> None:
+    """In-place Adam update of ``p`` by gradient ``g`` (beta1=0.9, beta2=0.999, eps=1e-8).
 
     The update ``lr * (m / bc1) / (sqrt(v / bc2) + eps)`` is built in
     ``state.scratch`` one operation at a time, in the order of that
@@ -304,31 +302,28 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
     temporaries. Raises :class:`DivergenceError` on non-finite gradients or
     parameters.
     """
-    if len(params) != len(grads):
-        raise ValueError("one gradient per parameter required")
-    for p, g in zip(params, grads):
-        if g is None or np.asarray(g).shape != p.shape:
-            raise ValueError("gradient shape does not match parameter shape")
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError("non-finite gradient; run aborted")
+    if np.shape(g) != p.shape:
+        raise ValueError("gradient shape does not match parameter shape")
+    if not np.all(np.isfinite(g)):
+        raise DivergenceError("non-finite gradient; run aborted")
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    for p, g, m, v, (step, denom) in zip(params, grads, state.m, state.v, state.scratch):
-        m *= ADAM_BETA1
-        m += np.multiply(g, 1.0 - ADAM_BETA1, out=step)
-        v *= ADAM_BETA2
-        np.multiply(g, g, out=step)
-        v += np.multiply(step, 1.0 - ADAM_BETA2, out=step)
-        np.divide(m, bc1, out=step)
-        step *= state.lr
-        np.divide(v, bc2, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += ADAM_EPS
-        p -= np.divide(step, denom, out=step)
-        if not np.all(np.isfinite(p)):
-            raise DivergenceError("non-finite parameter after update; run aborted")
+    m, v, (step, denom) = state.m, state.v, state.scratch
+    m *= ADAM_BETA1
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=step)
+    v *= ADAM_BETA2
+    np.multiply(g, g, out=step)
+    v += np.multiply(step, 1.0 - ADAM_BETA2, out=step)
+    np.divide(m, bc1, out=step)
+    step *= state.lr
+    np.divide(v, bc2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    p -= np.divide(step, denom, out=step)
+    if not np.all(np.isfinite(p)):
+        raise DivergenceError("non-finite parameter after update; run aborted")
 
 
 def lr_schedule_update(state: OptimizerState, val_loss: float) -> bool:

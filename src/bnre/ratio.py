@@ -11,9 +11,9 @@ reach +-30.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -40,12 +40,10 @@ class PosteriorGrid:
 
     axes: tuple[np.ndarray, ...]
     densities: np.ndarray
-    x: np.ndarray
 
     def __post_init__(self):
         self.axes = tuple(np.asarray(a, dtype=np.float64) for a in self.axes)
         self.densities = np.asarray(self.densities, dtype=np.float64)
-        self.x = np.asarray(self.x, dtype=np.float64)
         if self.densities.shape != tuple(len(a) for a in self.axes):
             raise ValueError("densities shape must match the grid axes")
 
@@ -64,9 +62,6 @@ class PosteriorGrid:
     @property
     def cell_masses(self) -> np.ndarray:
         return self.densities * self.cell_volume
-
-    def total_mass(self) -> float:
-        return float(self.densities.sum() * self.cell_volume)
 
     def locate(self, theta: np.ndarray) -> tuple[int, ...]:
         """Index of the cell containing theta (clipped to the grid)."""
@@ -99,44 +94,26 @@ class PosteriorGrid:
                 for d in range(self.ndim)]
 
 
-@lru_cache(maxsize=32)
-def _cached_axes(lower: tuple, upper: tuple, shape: tuple):
-    axes = []
-    for lo, hi, n in zip(lower, upper, shape):
-        width = (hi - lo) / n
-        axes.append(lo + width * (np.arange(n) + 0.5))
-    return tuple(axes)
+@functools.cache
+def _grid(kind: type[Benchmark]) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """A benchmark class's cell-center axes and its read-only grid theta-features.
+
+    The axes split the inference box into ``kind.grid_shape`` equal cells;
+    the features hold one row per cell, in C order over the axes.
+    """
+    benchmark = kind()
+    box = benchmark.inference_prior
+    axes = tuple(lo + (hi - lo) / n * (np.arange(n) + 0.5)
+                 for lo, hi, n in zip(box.lower, box.upper, kind.grid_shape))
+    mesh = np.meshgrid(*axes, indexing="ij")
+    t_feats = benchmark.theta_features(np.stack([m.reshape(-1) for m in mesh], axis=1))
+    t_feats.flags.writeable = False
+    return axes, t_feats
 
 
 def grid_axes(benchmark: Benchmark) -> tuple[np.ndarray, ...]:
     """Cell-center axes of ``benchmark.grid_shape``, covering exactly the inference box."""
-    box = benchmark.inference_prior
-    return _cached_axes(tuple(box.lower), tuple(box.upper), benchmark.grid_shape)
-
-
-# read-only theta-feature blocks keyed by (benchmark class, box, grid shape):
-# everything Benchmark.theta_features reads
-_THETA_FEATURES: dict[tuple, np.ndarray] = {}
-
-
-def _grid_theta_features(benchmark: Benchmark, axes: tuple[np.ndarray, ...]) -> np.ndarray:
-    box = benchmark.inference_prior
-    key = (type(benchmark), tuple(box.lower), tuple(box.upper), tuple(len(a) for a in axes))
-    t_feats = _THETA_FEATURES.get(key)
-    if t_feats is None:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        t_feats = benchmark.theta_features(np.stack([m.reshape(-1) for m in mesh], axis=1))
-        t_feats.flags.writeable = False
-        _THETA_FEATURES[key] = t_feats
-    return t_feats
-
-
-def _grid_features(benchmark: Benchmark, axes: tuple[np.ndarray, ...],
-                   x: np.ndarray) -> np.ndarray:
-    t_feats = _grid_theta_features(benchmark, axes)
-    x_feat = benchmark.x_features(np.asarray(x, dtype=np.float64))
-    x_tiled = np.broadcast_to(x_feat, (t_feats.shape[0], x_feat.size))
-    return np.concatenate([t_feats, x_tiled], axis=1)
+    return _grid(type(benchmark))[0]
 
 
 def posterior_grid(net: ClassifierNet, benchmark: Benchmark, x: np.ndarray) -> PosteriorGrid:
@@ -147,21 +124,22 @@ def posterior_grid(net: ClassifierNet, benchmark: Benchmark, x: np.ndarray) -> P
     """
     if len(benchmark.inference_dims) > 2:
         raise ValueError("grid posteriors support at most 2 inferred dimensions")
-    axes = grid_axes(benchmark)
-    feats = _grid_features(benchmark, axes, x)
+    axes, t_feats = _grid(type(benchmark))
+    x_feat = benchmark.x_features(np.asarray(x, dtype=np.float64))
+    x_tiled = np.broadcast_to(x_feat, (t_feats.shape[0], x_feat.size))
+    feats = np.concatenate([t_feats, x_tiled], axis=1)
     log_post = net.logits(feats)  # + log prior, constant over the box
     finite = np.isfinite(log_post)
     if not finite.any():
         raise DegenerateGridError("posterior density is zero on every grid cell")
     peak = log_post[finite].max()
     dens = np.where(finite, np.exp(log_post - peak), 0.0)
-    cell_volume = float(np.prod([a[1] - a[0] if len(a) > 1 else 1.0 for a in axes]))
-    total = dens.sum() * cell_volume
+    grid = PosteriorGrid(axes, dens.reshape(benchmark.grid_shape))
+    total = grid.densities.sum() * grid.cell_volume
     if total <= 0.0 or not np.isfinite(total):
         raise DegenerateGridError("posterior density is zero on every grid cell")
-    dens /= total
-    shape_out = tuple(len(a) for a in axes)
-    return PosteriorGrid(axes, dens.reshape(shape_out), np.asarray(x, dtype=np.float64))
+    grid.densities /= total
+    return grid
 
 
 def tractable_posterior_grid(benchmark: Tractable1D, x: np.ndarray) -> PosteriorGrid:
@@ -169,8 +147,7 @@ def tractable_posterior_grid(benchmark: Tractable1D, x: np.ndarray) -> Posterior
     if not isinstance(benchmark, Tractable1D):
         raise ValueError("exact posterior is only available for tractable1d")
     axes = grid_axes(benchmark)
-    dens = tractable_posterior(x, axes[0])
-    return PosteriorGrid(axes, dens, np.asarray(x, dtype=np.float64))
+    return PosteriorGrid(axes, tractable_posterior(x, axes[0]))
 
 
 def total_variation(a: PosteriorGrid, b: PosteriorGrid) -> float:

@@ -51,12 +51,10 @@ __all__ = [
     "BoxPrior",
     "Benchmark",
     "Dataset",
-    "FailureCounter",
     "SimulationCapExceeded",
     "RegenerationExhausted",
     "get_benchmark",
     "benchmark_names",
-    "sample_prior",
     "simulate",
     "draw_joint_sample",
     "generate_dataset",
@@ -82,13 +80,6 @@ class RegenerationExhausted(RuntimeError):
     """Every regeneration attempt of one joint draw hit its simulation guard."""
 
 
-@dataclass
-class FailureCounter:
-    """Counts simulator draws discarded and regenerated."""
-
-    count: int = 0
-
-
 @dataclass(frozen=True)
 class BoxPrior:
     """Independent uniform prior over an axis-aligned box."""
@@ -97,8 +88,10 @@ class BoxPrior:
     upper: np.ndarray
 
     def __post_init__(self):
-        lower = np.asarray(self.lower, dtype=np.float64)
-        upper = np.asarray(self.upper, dtype=np.float64)
+        # read-only copies: every instance of a benchmark shares its class's prior
+        lower = np.array(self.lower, dtype=np.float64)
+        upper = np.array(self.upper, dtype=np.float64)
+        lower.flags.writeable = upper.flags.writeable = False
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         if lower.shape != upper.shape or lower.ndim != 1:
@@ -141,17 +134,16 @@ class BoxPrior:
 class Benchmark:
     """A forward model with its prior, dimensions, and grid settings.
 
-    ``inference_dims`` names the parameter components whose (marginal)
-    posterior is estimated; classifiers consume only that sub-vector.
+    Each benchmark sets these as class attributes. ``inference_dims``
+    names the parameter components whose (marginal) posterior is
+    estimated; classifiers consume only that sub-vector.
     """
 
     name: str = ""
+    prior: BoxPrior
     x_dim: int = 0
     inference_dims: tuple[int, ...] = ()
     grid_shape: tuple[int, ...] = ()
-
-    def __init__(self, prior: BoxPrior):
-        self.prior = prior
 
     @property
     def theta_dim(self) -> int:
@@ -187,14 +179,12 @@ class Benchmark:
 
 class Tractable1D(Benchmark):
     name = "tractable1d"
+    prior = BoxPrior(np.array([-5.0]), np.array([5.0]))
     x_dim = 1
     inference_dims = (0,)
     grid_shape = (1024,)
 
     SIGMA_X = 1.0
-
-    def __init__(self):
-        super().__init__(BoxPrior(np.array([-5.0]), np.array([5.0])))
 
     def simulate(self, theta, rng):
         return np.array([theta[0] + rng.normal(0.0, self.SIGMA_X)])
@@ -205,6 +195,7 @@ class Tractable1D(Benchmark):
 
 class Weinberg(Benchmark):
     name = "weinberg"
+    prior = BoxPrior(np.array([0.5]), np.array([1.5]))
     x_dim = 1
     inference_dims = (0,)
     grid_shape = (1024,)
@@ -212,9 +203,6 @@ class Weinberg(Benchmark):
     MZ = 90.0
     BEAM_ENERGY_GEV = 42.0
     XSEC_NORM = 8.0 / 3.0
-
-    def __init__(self):
-        super().__init__(BoxPrior(np.array([0.5]), np.array([1.5])))
 
     def _asymmetry(self, g: float) -> float:
         sqrt_s = 2.0 * self.BEAM_ENERGY_GEV
@@ -235,14 +223,12 @@ class Weinberg(Benchmark):
 
 class SlcpMarginal(Benchmark):
     name = "slcp_marginal"
+    prior = BoxPrior(np.full(5, -3.0), np.full(5, 3.0))
     x_dim = 8
     inference_dims = (0, 1)
     grid_shape = (128, 128)
 
     N_POINTS = 4
-
-    def __init__(self):
-        super().__init__(BoxPrior(np.full(5, -3.0), np.full(5, 3.0)))
 
     def simulate(self, theta, rng):
         mu = theta[:2]
@@ -261,16 +247,13 @@ class SlcpMarginal(Benchmark):
 
 class MG1(Benchmark):
     name = "mg1"
+    prior = BoxPrior(np.array([0.0, 0.0, 0.0]), np.array([10.0, 10.0, 1.0 / 3.0]))
     x_dim = 5
     inference_dims = (0, 1)
     grid_shape = (128, 128)
 
     N_CUSTOMERS = 50
     QUANTILE_LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
-
-    def __init__(self):
-        super().__init__(BoxPrior(np.array([0.0, 0.0, 0.0]),
-                                  np.array([10.0, 10.0, 1.0 / 3.0])))
 
     def simulate(self, theta, rng):
         rate = max(float(theta[2]), 1e-12)
@@ -287,6 +270,7 @@ class MG1(Benchmark):
 
 class LotkaVolterra(Benchmark):
     name = "lotka_volterra"
+    prior = BoxPrior(np.full(4, -4.0), np.full(4, 1.0))
     x_dim = 40
     inference_dims = (0, 1)
     grid_shape = (128, 128)
@@ -295,9 +279,6 @@ class LotkaVolterra(Benchmark):
     HORIZON = 30.0
     GRID_POINTS = 20
     EVENT_CAP = 100_000
-
-    def __init__(self):
-        super().__init__(BoxPrior(np.full(4, -4.0), np.full(4, 1.0)))
 
     def simulate(self, theta, rng):
         rates = np.exp(np.asarray(theta, dtype=np.float64))
@@ -330,11 +311,6 @@ def get_benchmark(name: str) -> Benchmark:
     return cls()
 
 
-def sample_prior(benchmark: Benchmark, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n i.i.d. draws from the benchmark's box prior, shape [n, theta_dim]."""
-    return benchmark.prior.sample(rng, n)
-
-
 def simulate(benchmark: Benchmark, theta: np.ndarray,
              rng: np.random.Generator) -> np.ndarray:
     """One observable draw x ~ p(x | theta). theta must lie in the prior box."""
@@ -349,21 +325,20 @@ def simulate(benchmark: Benchmark, theta: np.ndarray,
     return x
 
 
-def draw_joint_sample(benchmark: Benchmark, rng: np.random.Generator,
-                      failures: FailureCounter | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """One (theta, x) pair from the joint; failed draws are regenerated.
+def draw_joint_sample(benchmark: Benchmark, rng: np.random.Generator
+                      ) -> tuple[np.ndarray, np.ndarray, int]:
+    """One (theta, x) pair from the joint and the number of draws discarded for it.
 
     A draw that exceeds its simulation guard (e.g. the Lotka-Volterra event
     cap) is discarded entirely — fresh theta and fresh randomness — and
-    counted on ``failures`` so users can audit the induced bias.
+    counted, so users can audit the induced bias.
     """
-    for _ in range(MAX_REGENERATION_ATTEMPTS):
+    for discarded in range(MAX_REGENERATION_ATTEMPTS):
         theta = benchmark.prior.sample(rng, 1)[0]
         try:
-            return theta, simulate(benchmark, theta, rng)
+            return theta, simulate(benchmark, theta, rng), discarded
         except SimulationCapExceeded:
-            if failures is not None:
-                failures.count += 1
+            pass
     raise RegenerationExhausted(
         f"{benchmark.name}: exceeded {MAX_REGENERATION_ATTEMPTS} regeneration attempts")
 
@@ -400,11 +375,12 @@ def generate_dataset(benchmark: Benchmark, budget: int, seed: int,
         raise ValueError("budget must be >= 1")
     theta = np.empty((budget, benchmark.theta_dim))
     x = np.empty((budget, benchmark.x_dim))
-    failures = FailureCounter()
+    failures = 0
     for i in range(budget):
         rng = substream("sim", namespace, benchmark.name, seed, i)
-        theta[i], x[i] = draw_joint_sample(benchmark, rng, failures)
-    return Dataset(benchmark.name, theta, x, seed, failures.count)
+        theta[i], x[i], discarded = draw_joint_sample(benchmark, rng)
+        failures += discarded
+    return Dataset(benchmark.name, theta, x, seed, failures)
 
 
 def mg1_departures(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:

@@ -67,12 +67,12 @@ class TrainConfig:
     hidden_units: int = 64
 
     def __post_init__(self):
-        if self.lam < 0:
+        if not self.lam >= 0:  # also rejects NaN
             raise ValueError("lambda must be nonnegative")
         if self.batch_size < 2 or self.batch_size % 2 != 0:
-            raise ValueError("batch size must be even and >= 2")
+            raise ValueError("batch_size must be even and >= 2")
         if not 0.0 < self.validation_fraction < 1.0:
-            raise ValueError("validation fraction must be in (0, 1)")
+            raise ValueError("validation_fraction must be in (0, 1)")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
 
@@ -357,7 +357,7 @@ def train(benchmark: Benchmark, dataset: Dataset, config: TrainConfig
     shapes = [p.shape for p in init.parameters()]
     flat = np.concatenate([p.ravel() for p in init.parameters()])
     net = ClassifierNet.from_flat(flat, shapes)
-    state = OptimizerState.for_params([flat], lr=config.learning_rate)
+    state = OptimizerState.for_params(flat, lr=config.learning_rate)
     # each step gathers its rows into, and computes in, arrays made once here
     buffers = StepBuffers(net, config.batch_size)
     marginal_x = np.empty((config.batch_size // 2, f_x.shape[1]))
@@ -383,7 +383,7 @@ def train(benchmark: Benchmark, dataset: Dataset, config: TrainConfig
             if math.isnan(loss_value):
                 raise TrainingDiverged("NaN training loss", history)
             try:
-                adam_step([flat], [buffers.grad], state)
+                adam_step(flat, buffers.grad, state)
             except DivergenceError as err:
                 raise TrainingDiverged(str(err), history) from err
             epoch_loss += loss_value * half

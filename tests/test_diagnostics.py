@@ -21,7 +21,7 @@ def grid_from_masses(masses):
     """1-d grid with unit cell volume whose densities are the given masses."""
     masses = np.asarray(masses, dtype=np.float64)
     axis = np.arange(masses.size, dtype=np.float64) + 0.5
-    return PosteriorGrid((axis,), masses, np.zeros(1))
+    return PosteriorGrid((axis,), masses)
 
 
 def exact_posterior(benchmark):
@@ -229,7 +229,7 @@ class TestExpectedLogPosterior:
         grid = tractable_posterior_grid(tractable_benchmark, np.array([0.0]))
         dens = np.zeros_like(grid.densities)
         dens[500] = 1.0 / grid.cell_volume
-        point_mass = PosteriorGrid(grid.axes, dens, grid.x)
+        point_mass = PosteriorGrid(grid.axes, dens)
         pairs = [(np.array([-4.9]), np.array([0.0]))]
         value, floored = mean_log_density(diagnose_pairs(lambda x: point_mass, pairs).densities)
         assert value == pytest.approx(math.log(1e-300))
@@ -246,7 +246,7 @@ class TestBiasVariance:
         grid = tractable_posterior_grid(tractable_benchmark, np.array([0.0]))
         dens = np.zeros_like(grid.densities)
         dens[512] = 1.0 / grid.cell_volume
-        point = PosteriorGrid(grid.axes, dens, grid.x)
+        point = PosteriorGrid(grid.axes, dens)
         center = grid.axes[0][512]
         theta_star = np.array([1.0])
         bias, variance = unscaled_bias_variance(lambda x: point, [(theta_star, np.zeros(1))])
@@ -258,7 +258,7 @@ class TestBiasVariance:
         k = 256
         width = 1.0 / k
         axis = width * (np.arange(k) + 0.5)
-        flat = PosteriorGrid((axis,), np.ones(k), np.zeros(1))
+        flat = PosteriorGrid((axis,), np.ones(k))
         thetas = np.linspace(0.0, 1.0, 4001)  # deterministic quadrature over theta*
         pairs = [(np.array([t]), np.zeros(1)) for t in thetas]
         bias, variance = unscaled_bias_variance(lambda x: flat, pairs)

@@ -182,7 +182,7 @@ class TestRunDocCounters:
             axes = grid_axes(benchmark)
             dens = np.zeros(len(axes[0]))
             dens[-1] = 1.0 / (axes[0][1] - axes[0][0])
-            return PosteriorGrid(axes, dens, x)
+            return PosteriorGrid(axes, dens)
 
         monkeypatch.setattr(harness, "posterior_grid", point_mass)
         config = tiny_config(tmp_path, budgets=(64,), seeds=(0,), methods=("nre",))
@@ -440,7 +440,8 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("field, value", [
         ("n_test", 1), ("lam", -1.0), ("lam", float("nan")), ("epochs", -1),
         ("epochs", 0), ("sbc_samples", 99), ("sbc_samples", -1), ("budgets", (8, 1024)),
-        ("levels", (0.0, 0.5)), ("levels", (0.5, 1.0))])
+        ("levels", (0.0, 0.5)), ("levels", (0.5, 1.0)), ("levels", ()), ("batch_size", 3),
+        ("validation_fraction", 1.0)])
     def test_out_of_range_fields_rejected(self, field, value):
         with pytest.raises(ValueError, match=field.replace("lam", "lambda")):
             ExperimentConfig(**{field: value})

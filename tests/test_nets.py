@@ -230,92 +230,97 @@ class TestForwardThreads:
 
 
 class TestAdam:
-    def _net_and_state(self, seed=0):
+    def _params_and_state(self, seed=0):
+        # one flat vector holding a net's parameters, as train passes it
         net = random_net(np.random.default_rng(seed), [3, 8, 1])
-        params = net.parameters()
-        return net, params, OptimizerState.for_params(params, lr=1e-3)
+        params = np.concatenate([p.ravel() for p in net.parameters()])
+        return params, OptimizerState.for_params(params, lr=1e-3)
 
     def test_zero_gradients_leave_parameters_unchanged(self):
-        net, params, state = self._net_and_state()
-        before = [p.copy() for p in params]
-        adam_step(params, [np.zeros_like(p) for p in params], state)
+        params, state = self._params_and_state()
+        before = params.copy()
+        adam_step(params, np.zeros_like(params), state)
         assert state.step_count == 1
-        for b, p in zip(before, params):
-            assert np.array_equal(b, p)
+        assert np.array_equal(before, params)
 
     def test_first_step_moves_by_lr_times_sign(self):
-        net, params, state = self._net_and_state()
-        before = [p.copy() for p in params]
-        grads = [np.random.default_rng(7).standard_normal(p.shape) for p in params]
+        params, state = self._params_and_state()
+        before = params.copy()
+        grads = np.random.default_rng(7).standard_normal(params.shape)
         adam_step(params, grads, state)
-        for b, p, g in zip(before, params, grads):
-            delta = p - b
-            expected = -state.lr * np.sign(g) * np.abs(g) / (np.abs(g) + 1e-8)
-            np.testing.assert_allclose(delta, expected, rtol=1e-12)
+        expected = -state.lr * np.sign(grads) * np.abs(grads) / (np.abs(grads) + 1e-8)
+        np.testing.assert_allclose(params - before, expected, rtol=1e-12)
 
     def test_identical_runs_are_bitwise_identical(self):
         results = []
         for _ in range(2):
-            net, params, state = self._net_and_state(seed=3)
+            params, state = self._params_and_state(seed=3)
             rng = np.random.default_rng(11)
             for _ in range(25):
-                grads = [rng.standard_normal(p.shape) for p in params]
-                adam_step(params, grads, state)
-            results.append([p.copy() for p in params])
-        for a, b in zip(results[0], results[1]):
-            assert np.array_equal(a, b)
+                adam_step(params, rng.standard_normal(params.shape), state)
+            results.append(params.copy())
+        assert np.array_equal(results[0], results[1])
 
     def test_in_place_update_is_bitwise_equal_to_the_formula(self):
-        def reference_step(params, grads, m_list, v_list, t, lr):
+        def reference_step(p, g, m, v, t, lr):
             bc1, bc2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
-            for p, g, m, v in zip(params, grads, m_list, v_list):
-                m *= 0.9
-                m += (1.0 - 0.9) * g
-                v *= 0.999
-                v += (1.0 - 0.999) * (g * g)
-                p -= lr * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
+            m *= 0.9
+            m += (1.0 - 0.9) * g
+            v *= 0.999
+            v += (1.0 - 0.999) * (g * g)
+            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
 
         # parameters start at zero, so the low bits of each update show in them
-        params = [np.zeros((8, 3)), np.zeros(8), np.zeros(1)]
+        params = np.zeros(33)
         state = OptimizerState.for_params(params, lr=1e-3)
-        ref = [p.copy() for p in params]
-        ref_m, ref_v = [np.zeros_like(p) for p in ref], [np.zeros_like(p) for p in ref]
+        ref, ref_m, ref_v = np.zeros(33), np.zeros(33), np.zeros(33)
         rng = np.random.default_rng(13)
         for t in range(1, 41):
-            grads = [rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 3)
-                     for p in params]
+            grads = rng.standard_normal(33) * 10.0 ** rng.integers(-6, 3, size=33)
             if t == 20:
                 state.lr /= 10.0
             adam_step(params, grads, state)
             reference_step(ref, grads, ref_m, ref_v, t, state.lr)
-        for got, want in zip(params + state.m + state.v, ref + ref_m + ref_v):
+        for got, want in ((params, ref), (state.m, ref_m), (state.v, ref_v)):
             assert got.tobytes() == want.tobytes()
 
+    def test_gradient_of_another_shape_rejected(self):
+        params, state = self._params_and_state()
+        with pytest.raises(ValueError, match="shape"):
+            adam_step(params, np.zeros(params.size - 1), state)
+        assert state.step_count == 0
+
     def test_nan_gradient_aborts(self):
-        net, params, state = self._net_and_state()
-        grads = [np.zeros_like(p) for p in params]
-        grads[0][0, 0] = np.nan
+        params, state = self._params_and_state()
+        grads = np.zeros_like(params)
+        grads[0] = np.nan
         with pytest.raises(DivergenceError):
             adam_step(params, grads, state)
 
+    def test_overflowing_parameter_aborts(self):
+        params, state = self._params_and_state()
+        # the first step moves each parameter by about lr, so this one overflows
+        state.lr = params[0] = np.finfo(np.float64).max
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="parameter"):
+            adam_step(params, -np.ones_like(params), state)
+
     def test_second_moments_stay_nonnegative(self):
-        net, params, state = self._net_and_state()
+        params, state = self._params_and_state()
         rng = np.random.default_rng(2)
         for _ in range(50):
-            adam_step(params, [rng.standard_normal(p.shape) for p in params], state)
-        for v in state.v:
-            assert np.all(v >= 0.0)
+            adam_step(params, rng.standard_normal(params.shape), state)
+        assert np.all(state.v >= 0.0)
 
 
 class TestLrSchedule:
     def test_strictly_decreasing_losses_keep_lr(self):
-        state = OptimizerState(m=[], v=[], lr=1e-3)
+        state = OptimizerState.for_params(np.zeros(0), lr=1e-3)
         for e in range(50):
             lr_schedule_update(state, 1.0 - 0.01 * e)
         assert state.lr == 1e-3
 
     def test_ten_flat_epochs_divide_once(self):
-        state = OptimizerState(m=[], v=[], lr=1e-3)
+        state = OptimizerState.for_params(np.zeros(0), lr=1e-3)
         lr_schedule_update(state, 0.5)
         for _ in range(10):
             lr_schedule_update(state, 0.5)
@@ -323,7 +328,7 @@ class TestLrSchedule:
         assert state.plateau_count == 0
 
     def test_twenty_flat_epochs_divide_twice(self):
-        state = OptimizerState(m=[], v=[], lr=1e-3)
+        state = OptimizerState.for_params(np.zeros(0), lr=1e-3)
         lr_schedule_update(state, 0.5)
         for _ in range(20):
             lr_schedule_update(state, 0.5)
@@ -333,7 +338,7 @@ class TestLrSchedule:
         # k completed 10-epoch plateaus  =>  lr = initial / 10^k (same division chain)
         rng = np.random.default_rng(4)
         losses = list(np.round(rng.uniform(0.3, 1.0, size=120), 3))
-        state = OptimizerState(m=[], v=[], lr=1e-3)
+        state = OptimizerState.for_params(np.zeros(0), lr=1e-3)
         expected_lr, best, stall = 1e-3, math.inf, 0
         for loss in losses:
             # the returned flag is what train keeps its best weights on

@@ -6,8 +6,8 @@ from scipy.special import expit
 from scipy.stats import norm
 
 from bnre.nets import ClassifierNet
-from bnre.ratio import (DegenerateGridError, _cached_axes, _grid_theta_features, grid_axes,
-                        posterior_grid, total_variation, tractable_posterior_grid)
+from bnre.ratio import (DegenerateGridError, _grid, grid_axes, posterior_grid, total_variation,
+                        tractable_posterior_grid)
 from bnre.rng import substream
 from bnre.simulators import SlcpMarginal, generate_dataset, get_benchmark
 
@@ -124,7 +124,7 @@ class TestPosteriorGrid:
         for seed in range(5):
             net = random_net(np.random.default_rng(seed), [2, 32, 32, 1])
             grid = posterior_grid(net, tractable_benchmark, np.array([0.7]))
-            assert grid.total_mass() == pytest.approx(1.0, abs=1e-9)
+            assert grid.cell_masses.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(grid.densities >= 0.0)
 
     def test_grid_covers_exactly_the_prior_box(self, tractable_benchmark):
@@ -139,7 +139,7 @@ class TestPosteriorGrid:
         net = zero_net(7)
         grid = posterior_grid(net, b, np.ones(5))
         assert grid.densities.shape == (128, 128)
-        assert grid.total_mass() == pytest.approx(1.0, abs=1e-9)
+        assert grid.cell_masses.sum() == pytest.approx(1.0, abs=1e-9)
         np.testing.assert_allclose(grid.densities, 1.0 / 100.0, rtol=1e-12)
 
     def test_saturated_logits_give_a_finite_normalized_grid(self, tractable_benchmark):
@@ -148,7 +148,7 @@ class TestPosteriorGrid:
         net = ClassifierNet([np.array([[200.0, 0.0]])], [np.zeros(1)])
         grid = posterior_grid(net, tractable_benchmark, np.array([0.0]))
         assert np.all(np.isfinite(grid.densities))
-        assert grid.total_mass() == pytest.approx(1.0, abs=1e-9)
+        assert grid.cell_masses.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.argmax(grid.densities) == grid.densities.size - 1
 
     def test_degenerate_grid_rejected(self, tractable_benchmark):
@@ -206,25 +206,19 @@ class TestGridWorkspace:
             assert np.array_equal(grid.densities, naive_posterior_densities(net, benchmark, x))
 
     def test_cached_theta_features_are_read_only_and_shared(self):
-        first = _grid_theta_features(get_benchmark("mg1"), grid_axes(get_benchmark("mg1")))
+        axes, first = _grid(type(get_benchmark("mg1")))
         assert not first.flags.writeable
         with pytest.raises(ValueError):
             first[0, 0] = 0.0
         again = get_benchmark("mg1")
-        assert _grid_theta_features(again, grid_axes(again)) is first
-
-    def test_grid_shape_is_part_of_the_cache_key(self, tractable_benchmark):
-        box = tractable_benchmark.inference_prior
-        coarse_axes = _cached_axes(tuple(box.lower), tuple(box.upper), (16,))
-        coarse = _grid_theta_features(tractable_benchmark, coarse_axes)
-        fine = _grid_theta_features(tractable_benchmark, grid_axes(tractable_benchmark))
-        assert coarse.shape == (16, 1) and fine.shape == (1024, 1)
+        assert _grid(type(again))[1] is first
+        assert grid_axes(again) is axes
 
 
 class TestExactPosteriorGrid:
     def test_oracle_matches_tractable_density(self, tractable_benchmark):
         grid = tractable_posterior_grid(tractable_benchmark, np.array([1.0]))
-        assert grid.total_mass() == pytest.approx(1.0, abs=1e-9)
+        assert grid.cell_masses.sum() == pytest.approx(1.0, abs=1e-9)
         # mode at x (inside the box)
         assert grid.axes[0][np.argmax(grid.densities)] == pytest.approx(1.0, abs=0.01)
 

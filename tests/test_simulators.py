@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnre.rng import substream
-from bnre.simulators import (Dataset, FailureCounter, SimulationCapExceeded, Tractable1D,
-                             benchmark_names, draw_joint_sample, generate_dataset,
-                             get_benchmark, gillespie_run, load_dataset,
-                             mg1_departures, mg1_quantiles, sample_prior,
+from bnre.simulators import (Dataset, SimulationCapExceeded, Tractable1D, benchmark_names,
+                             draw_joint_sample, generate_dataset, get_benchmark,
+                             gillespie_run, load_dataset, mg1_departures, mg1_quantiles,
                              save_dataset, simulate, tractable_posterior)
 
 ALL_CHEAP = ["tractable1d", "weinberg", "slcp_marginal", "mg1"]
@@ -19,22 +18,28 @@ ALL_CHEAP = ["tractable1d", "weinberg", "slcp_marginal", "mg1"]
 class TestPrior:
     def test_uniform_moments(self):
         b = get_benchmark("tractable1d")
-        draws = sample_prior(b, substream("t", 0), 100_000)
+        draws = b.prior.sample(substream("t", 0), 100_000)
         se = (10.0 / math.sqrt(12.0)) / math.sqrt(100_000)
         assert abs(draws.mean() - 0.0) < 3 * se
 
     @pytest.mark.parametrize("name", benchmark_names())
     def test_support(self, name):
         b = get_benchmark(name)
-        draws = sample_prior(b, substream("s", name), 500)
+        draws = b.prior.sample(substream("s", name), 500)
         assert np.all(draws >= b.prior.lower)
         assert np.all(draws <= b.prior.upper)
 
     def test_fixed_seed_reproducible(self):
         b = get_benchmark("mg1")
-        a = sample_prior(b, substream("r", 1), 4)
-        c = sample_prior(b, substream("r", 1), 4)
+        a = b.prior.sample(substream("r", 1), 4)
+        c = b.prior.sample(substream("r", 1), 4)
         assert np.array_equal(a, c)
+
+    def test_class_prior_is_shared_and_read_only(self):
+        b = get_benchmark("mg1")
+        assert b.prior is get_benchmark("mg1").prior
+        with pytest.raises(ValueError):
+            b.prior.lower[0] = 1.0
 
     def test_invalid_bounds_rejected(self):
         from bnre.simulators import BoxPrior
@@ -70,7 +75,7 @@ class TestWeinberg:
     def test_outputs_lie_in_unit_interval(self):
         b = get_benchmark("weinberg")
         rng = substream("w", 0)
-        for theta in sample_prior(b, rng, 200):
+        for theta in b.prior.sample(rng, 200):
             c = simulate(b, theta, rng)[0]
             assert -1.0 <= c <= 1.0
 
@@ -208,13 +213,24 @@ class TestLotkaVolterra:
     def test_failed_draws_are_regenerated_and_counted(self):
         b = get_benchmark("lotka_volterra")
         b.EVENT_CAP = 500  # roughly half of prior draws exceed this
-        failures = FailureCounter()
+        failures = 0
         rng = substream("lv", 0)
         for _ in range(3):
-            theta, x = draw_joint_sample(b, rng, failures)
+            theta, x, discarded = draw_joint_sample(b, rng)
             assert x.shape == (40,)
             assert np.all(np.isfinite(x))
-        assert failures.count >= 1
+            failures += discarded
+        assert failures >= 1
+
+    def test_dataset_failures_sum_the_draws_discarded_per_sample(self):
+        b = get_benchmark("lotka_volterra")
+        b.EVENT_CAP = 500
+        ds = generate_dataset(b, 6, seed=3)
+        discarded = [draw_joint_sample(b, substream("sim", "train", b.name, 3, i))[2]
+                     for i in range(6)]
+        assert ds.failures == sum(discarded) >= 1
+        # get_benchmark hands out fresh instances, so the lowered cap stays on b
+        assert get_benchmark("lotka_volterra").EVENT_CAP == 100_000
 
 
 class TestFiniteOutputs:
@@ -222,7 +238,7 @@ class TestFiniteOutputs:
     def test_ten_thousand_draws_finite(self, name):
         b = get_benchmark(name)
         rng = substream("finite", name)
-        thetas = sample_prior(b, rng, 10_000)
+        thetas = b.prior.sample(rng, 10_000)
         for theta in thetas:
             x = simulate(b, theta, rng)
             assert x.shape == (b.x_dim,)
@@ -232,9 +248,8 @@ class TestFiniteOutputs:
         # runtime-bounded spot check; the benchmark is flag-gated in the harness
         b = get_benchmark("lotka_volterra")
         rng = substream("finite", "lv")
-        failures = FailureCounter()
         for _ in range(60):
-            theta, x = draw_joint_sample(b, rng, failures)
+            theta, x, _ = draw_joint_sample(b, rng)
             assert x.shape == (b.x_dim,)
             assert np.all(np.isfinite(x))
 

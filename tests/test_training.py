@@ -197,7 +197,7 @@ class TestTabularOptimum:
         pj = toy.joint
         pm = toy.product
         z = np.zeros(pj.shape)
-        state = OptimizerState.for_params([z], lr=0.1)
+        state = OptimizerState.for_params(z, lr=0.1)
         for _ in range(4000):
             tape = Tape()
             zv = leaf(z, tape=tape, requires_grad=True)
@@ -211,7 +211,7 @@ class TestTabularOptimum:
             else:
                 loss = bce
             backward(tape, loss)
-            adam_step([z], [zv.grad], state)
+            adam_step(z, zv.grad, state)
         from scipy.special import expit
         assert np.max(np.abs(expit(z) - toy.bayes_optimal)) <= 1e-3
 
@@ -230,6 +230,10 @@ class TestTrainConfig:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(lam=-1.0)
+
+    def test_nan_lambda_rejected(self):
+        with pytest.raises(ValueError, match="lambda"):
+            TrainConfig(lam=float("nan"))
 
     def test_validation_fraction_bounds(self):
         with pytest.raises(ValueError):
