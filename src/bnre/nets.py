@@ -3,10 +3,13 @@
 The network maps a feature vector (parameters concatenated with an
 observable) to a single unbounded logit; the sigmoid is applied downstream,
 and all losses are computed in logit space; training gradients come from
-:func:`bnre.training.bnre_loss_grads`. Everything runs in float64, and
-numpy's OpenBLAS runs one thread per calling thread
-(:func:`one_blas_thread`), so identical (config, seed) pairs reproduce
-bitwise-identical trajectories.
+:func:`bnre.training.bnre_loss_grads`. A net keeps the dtype of the arrays
+it is built from, float32 or float64. Training keeps float64 master weights
+and Adam state and runs only each step's forward and backward on a float32
+copy of them; the grid forward, validation, every diagnostic and the
+weights file use float64 nets. Numpy's OpenBLAS runs one thread per calling
+thread (:func:`one_blas_thread`), so identical (config, seed) pairs
+reproduce bitwise-identical trajectories.
 
 :meth:`ClassifierNet.logits` evaluates its rows in blocks of
 :data:`BLOCK_ROWS`. A call of several blocks splits them into contiguous
@@ -185,7 +188,9 @@ class ClassifierNet:
     """ReLU MLP with a single-logit head.
 
     Weights are stored as ``[out, in]`` matrices. Consecutive layer shapes
-    must compose; construction rejects anything else.
+    must compose; construction rejects anything else. Parameters stay
+    float32 when the first weight matrix is float32, and are float64
+    otherwise; arrays already of that dtype are kept, not copied.
     """
 
     def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
@@ -200,8 +205,9 @@ class ClassifierNet:
                     f"{weights[k - 1].shape[0]}")
         if weights[-1].shape[0] != 1:
             raise ValueError("output layer must produce a single logit")
-        self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
-        self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
+        dtype = np.float32 if weights[0].dtype == np.float32 else np.float64
+        self.weights = [np.asarray(w, dtype=dtype) for w in weights]
+        self.biases = [np.asarray(b, dtype=dtype) for b in biases]
 
     @classmethod
     def initialize(cls, input_dim: int, hidden_layers: int, hidden_units: int,

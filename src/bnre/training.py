@@ -12,10 +12,14 @@ from probabilities.
 
 Every training step runs the closed-form gradient :func:`bnre_loss_grads`,
 which :func:`finite_diff_check` validates against central differences of
-:func:`bnre_loss`. A step gathers its rows into, and computes in,
-:class:`StepBuffers` made once per :func:`train` call, and Adam updates in
-place, so a step allocates no array. The reverse-mode tape (:func:`forward_on_tape`,
-:func:`bnre_loss_var`) is only an independent reference for the tests.
+:func:`bnre_loss`. :func:`train` keeps the master weights, the Adam state,
+the plateau schedule, the validation pass and the returned net in float64;
+each step's forward and backward run in float32, on float32 copies of the
+features and a float32 copy of the weights. A step gathers its rows into,
+and computes in, :class:`StepBuffers` made once per :func:`train` call, and
+Adam updates in place, so a step allocates no array. The reverse-mode tape
+(:func:`forward_on_tape`, :func:`bnre_loss_var`) is only an independent
+reference for the tests.
 """
 
 from __future__ import annotations
@@ -75,6 +79,12 @@ class TrainConfig:
             raise ValueError("validation_fraction must be in (0, 1)")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and positive")
+        if self.hidden_layers < 0:
+            raise ValueError("hidden_layers must be >= 0")
+        if self.hidden_units < 1:
+            raise ValueError("hidden_units must be >= 1")
 
 
 @dataclass
@@ -210,19 +220,20 @@ class StepBuffers:
     ``g`` and ``tmp`` the logits, their sigmoids, the loss gradient at the
     logits and a scratch vector. ``grad`` is one flat gradient in the
     net's parameter layout (:meth:`ClassifierNet.from_flat`) and ``grads``
-    its views in ``net.parameters()`` order. A step on fewer rows uses the
-    leading rows of each buffer.
+    its views in ``net.parameters()`` order. Every float array has the
+    net's dtype. A step on fewer rows uses the leading rows of each buffer.
     """
 
     def __init__(self, net: ClassifierNet, rows: int):
+        dtype = net.weights[0].dtype
         widths = [w.shape[0] for w in net.weights[:-1]]
-        self.rows = np.empty((rows, net.input_dim))
-        self.acts = [np.empty((rows, h)) for h in widths]
-        self.backs = [np.empty((rows, h)) for h in widths]
+        self.rows = np.empty((rows, net.input_dim), dtype)
+        self.acts = [np.empty((rows, h), dtype) for h in widths]
+        self.backs = [np.empty((rows, h), dtype) for h in widths]
         self.mask = np.empty(rows * max(widths, default=0), dtype=bool)
-        self.z, self.s, self.g, self.tmp = (np.empty(rows) for _ in range(4))
+        self.z, self.s, self.g, self.tmp = (np.empty(rows, dtype) for _ in range(4))
         shapes = [p.shape for p in net.parameters()]
-        self.grad = np.empty(sum(math.prod(shape) for shape in shapes))
+        self.grad = np.empty(sum(math.prod(shape) for shape in shapes), dtype)
         self.grads = ClassifierNet.from_flat(self.grad, shapes).parameters()
 
 
@@ -238,8 +249,9 @@ def bnre_loss_grads(net: ClassifierNet, feats_j: np.ndarray, feats_m: np.ndarray
     the ReLU masks turns it into the parameter gradients.
 
     Every array is written into ``buffers``, or into fresh ones sized to the
-    inputs when none are given. The returned gradients are views of
-    ``buffers.grad``, which the next call on the same buffers overwrites.
+    inputs when none are given, and computed in the net's dtype. The
+    returned gradients are views of ``buffers.grad``, which the next call on
+    the same buffers overwrites.
     """
     nj, nm = len(feats_j), len(feats_m)
     n = nj + nm
@@ -322,6 +334,10 @@ def train(benchmark: Benchmark, dataset: Dataset, config: TrainConfig
     and best-epoch selection; validation samples never contribute gradients.
     The scheduled quantity is the full loss including the lambda penalty.
     Numpy's BLAS runs on the calling thread alone for the whole loop.
+
+    Each step runs :func:`bnre_loss_grads` in float32, on a copy of the
+    float64 weights that Adam updates; validation and the returned net are
+    float64.
     """
     if dataset.benchmark != benchmark.name:
         raise ValueError(
@@ -350,6 +366,9 @@ def train(benchmark: Benchmark, dataset: Dataset, config: TrainConfig
     val_joint_feats = joint_feats[val_idx]
     val_marg_feats = np.concatenate(
         [np.concatenate([f_theta[val_idx], f_x[vm]], axis=1) for vm in val_margs], axis=0)
+    # steps read float32 rows
+    joint_feats = joint_feats.astype(np.float32)
+    f_x = f_x.astype(np.float32)
 
     init = ClassifierNet.initialize(benchmark.classifier_input_dim(),
                                     config.hidden_layers, config.hidden_units, rng_init)
@@ -358,9 +377,14 @@ def train(benchmark: Benchmark, dataset: Dataset, config: TrainConfig
     flat = np.concatenate([p.ravel() for p in init.parameters()])
     net = ClassifierNet.from_flat(flat, shapes)
     state = OptimizerState.for_params(flat, lr=config.learning_rate)
+    # each step computes on a float32 copy of flat, and Adam reads its
+    # gradient from a float64 copy
+    flat32 = flat.astype(np.float32)
+    net32 = ClassifierNet.from_flat(flat32, shapes)
+    grad = np.empty_like(flat)
     # each step gathers its rows into, and computes in, arrays made once here
-    buffers = StepBuffers(net, config.batch_size)
-    marginal_x = np.empty((config.batch_size // 2, f_x.shape[1]))
+    buffers = StepBuffers(net32, config.batch_size)
+    marginal_x = np.empty((config.batch_size // 2, f_x.shape[1]), np.float32)
     theta_cols = f_theta.shape[1]
 
     history = TrainHistory(train_indices=train_idx.copy(), val_indices=val_idx.copy())
@@ -379,11 +403,13 @@ def train(benchmark: Benchmark, dataset: Dataset, config: TrainConfig
             feats_m[:, :theta_cols] = feats_j[:, :theta_cols]
             feats_m[:, theta_cols:] = np.take(f_x, qi, axis=0, out=marginal_x[:half],
                                               mode="clip")
-            loss_value, _ = bnre_loss_grads(net, feats_j, feats_m, config.lam, buffers)
+            flat32[:] = flat
+            loss_value, _ = bnre_loss_grads(net32, feats_j, feats_m, config.lam, buffers)
             if math.isnan(loss_value):
                 raise TrainingDiverged("NaN training loss", history)
+            grad[:] = buffers.grad
             try:
-                adam_step(flat, buffers.grad, state)
+                adam_step(flat, grad, state)
             except DivergenceError as err:
                 raise TrainingDiverged(str(err), history) from err
             epoch_loss += loss_value * half

@@ -441,7 +441,8 @@ class TestExperimentConfig:
         ("n_test", 1), ("lam", -1.0), ("lam", float("nan")), ("epochs", -1),
         ("epochs", 0), ("sbc_samples", 99), ("sbc_samples", -1), ("budgets", (8, 1024)),
         ("levels", (0.0, 0.5)), ("levels", (0.5, 1.0)), ("levels", ()), ("batch_size", 3),
-        ("validation_fraction", 1.0)])
+        ("validation_fraction", 1.0), ("learning_rate", -1e-3), ("learning_rate", float("inf")),
+        ("hidden_layers", -1), ("hidden_units", 0)])
     def test_out_of_range_fields_rejected(self, field, value):
         with pytest.raises(ValueError, match=field.replace("lam", "lambda")):
             ExperimentConfig(**{field: value})
@@ -456,6 +457,13 @@ class TestExperimentConfig:
         out = tmp_path / "n_test_1"
         with pytest.raises(ValueError, match="n_test"):
             run_experiment(tiny_config(out, n_test=1))
+        assert not out.exists()
+
+    def test_zero_hidden_units_fails_before_any_dataset_is_written(self, tmp_path):
+        # used to write datasets/, then raise ZeroDivisionError out of run_experiment
+        out = tmp_path / "hidden_units_0"
+        with pytest.raises(ValueError, match="hidden_units"):
+            run_experiment(tiny_config(out, hidden_units=0))
         assert not out.exists()
 
     def test_negative_lambda_fails_before_any_file_is_written(self, tmp_path):
