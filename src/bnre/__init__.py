@@ -14,7 +14,7 @@ from .nets import ClassifierNet, load_weights, save_weights
 from .ratio import PosteriorGrid, posterior_grid
 from .simulators import (Benchmark, Dataset, benchmark_names, generate_dataset,
                          get_benchmark, load_dataset, save_dataset, simulate)
-from .training import TrainConfig, TrainHistory, bce_loss, bnre_loss, train
+from .training import TrainConfig, TrainHistory, bnre_loss, train
 
 __version__ = "0.1.0"
 
@@ -30,7 +30,6 @@ __all__ = [
     "SbcResult",
     "TrainConfig",
     "TrainHistory",
-    "bce_loss",
     "benchmark_names",
     "bnre_loss",
     "generate_dataset",

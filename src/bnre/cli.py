@@ -21,7 +21,7 @@ import numpy as np
 
 from . import diagnostics, harness
 from .files import replacing
-from .harness import ExperimentConfig, evaluate_net, lambda_sweep, run_experiment
+from .harness import ExperimentConfig, ResultsTable, evaluate_net, lambda_sweep, run_experiment
 from .nets import load_weights, save_weights
 from .rng import substream
 from .simulators import generate_dataset, get_benchmark, load_dataset, save_dataset
@@ -114,28 +114,26 @@ def _cmd_diagnose(args) -> int:
     return 0
 
 
-def _cmd_experiment(args) -> int:
-    config = ExperimentConfig.from_json(args.config)
-    table = run_experiment(config)
+def _report_sweep(config: ExperimentConfig, table: ResultsTable) -> int:
+    """Print each failed run to stderr and a summary line; the exit status."""
     failed = [r for r in table.rows if r.status != "ok"]
     for row in failed:
         print(f"FAILED {row.benchmark} budget={row.budget} seed={row.seed} "
-              f"{row.method}: {row.error}", file=sys.stderr)
+              f"{row.method} lambda={row.lam:g}: {row.error}", file=sys.stderr)
     print(f"{len(table.rows) - len(failed)}/{len(table.rows)} runs ok; "
           f"results in {config.output_dir}")
     return 0 if table.all_ok else 1
+
+
+def _cmd_experiment(args) -> int:
+    config = ExperimentConfig.from_json(args.config)
+    return _report_sweep(config, run_experiment(config))
 
 
 def _cmd_lambda_sweep(args) -> int:
     config = ExperimentConfig.from_json(args.config)
     lambdas = [float(v) for v in args.lambdas.split(",")]
-    table = lambda_sweep(config, lambdas)
-    failed = [r for r in table.rows if r.status != "ok"]
-    for row in failed:
-        print(f"FAILED lambda={row.lam:g} seed={row.seed}: {row.error}", file=sys.stderr)
-    print(f"{len(table.rows) - len(failed)}/{len(table.rows)} runs ok; "
-          f"results in {config.output_dir}")
-    return 0 if table.all_ok else 1
+    return _report_sweep(config, lambda_sweep(config, lambdas))
 
 
 def _cmd_verify_theorems(args) -> int:

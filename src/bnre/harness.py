@@ -60,8 +60,14 @@ METRIC_FIELDS = ("coverage_auc", "coverage_auc_se", "expected_log_posterior",
 RESULTS_COLUMNS = ("benchmark", "budget", "seed", "method", "lambda",
                    *METRIC_FIELDS, "status", "error")
 
+AGGREGATE_COLUMNS = ("benchmark", "budget", "method", "lambda", "n_runs", "n_failed",
+                     *(f"{m}_{s}" for m in METRIC_FIELDS for s in ("mean", "std")))
+
 # wall seconds of each phase of a run, written to timing.csv only
 PHASE_FIELDS = ("simulate_s", "train_s", "evaluate_s", "persist_s")
+
+TIMING_COLUMNS = ("benchmark", "budget", "seed", "method", "lambda", "wall_time_s",
+                  *PHASE_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -115,16 +121,10 @@ class ExperimentConfig:
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        for key in ("budgets", "seeds", "methods", "levels"):
-            if key in raw:
-                raw[key] = tuple(raw[key])
         return cls(**raw)
 
     def to_json_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        for key in ("budgets", "seeds", "methods", "levels"):
-            out[key] = list(out[key])
-        return out
+        return dataclasses.asdict(self)
 
     def train_config(self, budget: int, seed: int, lam: float) -> TrainConfig:
         return TrainConfig(
@@ -163,12 +163,6 @@ class RunResult:
     def key(self) -> tuple:
         return (self.benchmark, self.budget, self.seed, self.method, self.lam)
 
-    def comparable(self) -> tuple:
-        """Everything but the wall-clock time; used for determinism checks."""
-        return (self.benchmark, self.budget, self.seed, self.method, self.lam,
-                self.coverage_auc, self.coverage_auc_se, self.expected_log_posterior,
-                self.bias, self.variance, self.balance_gap, self.status, self.error)
-
 
 @dataclass(frozen=True)
 class AggregateRow:
@@ -190,16 +184,6 @@ class ResultsTable:
     def all_ok(self) -> bool:
         return all(r.status == "ok" for r in self.rows)
 
-    def comparable_rows(self) -> list[tuple]:
-        return [r.comparable() for r in sorted(self.rows, key=RunResult.key)]
-
-    def select(self, **criteria) -> list[RunResult]:
-        out = []
-        for r in self.rows:
-            if all(getattr(r, k) == v for k, v in criteria.items()):
-                out.append(r)
-        return out
-
     def aggregate(self) -> list[AggregateRow]:
         """Mean/std over seeds per (benchmark, budget, method, lambda) cell.
 
@@ -220,38 +204,6 @@ class ResultsTable:
             out.append(AggregateRow(bench, budget, method, lam, len(rows),
                                     len(rows) - len(ok), means, stds))
         return out
-
-    def to_csv(self, path) -> None:
-        lines = [",".join(RESULTS_COLUMNS)]
-        for r in sorted(self.rows, key=RunResult.key):
-            lines.append(",".join([
-                r.benchmark, str(r.budget), str(r.seed), r.method, repr(r.lam),
-                *[repr(getattr(r, m)) for m in METRIC_FIELDS],
-                r.status, json.dumps(r.error),
-            ]))
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    def timing_to_csv(self, path) -> None:
-        lines = [",".join(["benchmark", "budget", "seed", "method", "lambda", "wall_time_s",
-                           *PHASE_FIELDS])]
-        for r in sorted(self.rows, key=RunResult.key):
-            seconds = [r.wall_time, *(getattr(r, f) for f in PHASE_FIELDS)]
-            lines.append(",".join([r.benchmark, str(r.budget), str(r.seed), r.method,
-                                   repr(r.lam), *(f"{t:.3f}" for t in seconds)]))
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    def aggregate_to_csv(self, path) -> None:
-        header = ["benchmark", "budget", "method", "lambda", "n_runs", "n_failed"]
-        for m in METRIC_FIELDS:
-            header += [f"{m}_mean", f"{m}_std"]
-        lines = [",".join(header)]
-        for a in self.aggregate():
-            cells = [a.benchmark, str(a.budget), a.method, repr(a.lam),
-                     str(a.n_runs), str(a.n_failed)]
-            for m in METRIC_FIELDS:
-                cells += [repr(a.means[m]), repr(a.stds[m])]
-            lines.append(",".join(cells))
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _method_for(lam: float) -> str:
@@ -328,8 +280,9 @@ def diagnose_pairs(posterior_fn, pairs, levels=DEFAULT_LEVELS, sbc_samples: int 
         thetas.append(theta_star)
         indicators.append(coverage_indicators(grid, theta_star, levels))
         densities.append(grid.density_at(theta_star))
-        means.append(grid.mean())
-        moments.append(grid.second_central_moment())
+        mean, moment = grid.moments()
+        means.append(mean)
+        moments.append(moment)
         if sbc_samples:
             ranks.append(sbc_rank(grid, theta_star, sbc_rng, sbc_samples))
     return PairDiagnostics(np.asarray(thetas), np.asarray(indicators, dtype=bool),
@@ -383,12 +336,17 @@ def evaluate_net(net, benchmark: Benchmark, test_set: Dataset,
     return result
 
 
-def _curve_to_csv(curve: CoverageCurve, path: Path) -> None:
-    lines = ["level,coverage,se"]
-    for lvl, cov, se in zip(curve.levels, curve.coverage, curve.se):
-        lines.append(f"{repr(float(lvl))},{repr(float(cov))},{repr(float(se))}")
+def _write_csv(path: Path, header, rows) -> None:
+    """One line of comma-joined cells for the header and for each row, written atomically."""
     with replacing(path) as tmp:
-        tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        tmp.write_text("".join(",".join(cells) + "\n" for cells in (header, *rows)),
+                       encoding="utf-8")
+
+
+def _curve_to_csv(curve: CoverageCurve, path: Path) -> None:
+    _write_csv(path, ("level", "coverage", "se"),
+               [[repr(float(v)) for v in cells]
+                for cells in zip(curve.levels, curve.coverage, curve.se)])
 
 
 class _PhaseClock(dict):
@@ -536,12 +494,22 @@ def _write_outputs(config: ExperimentConfig, table: ResultsTable) -> None:
     merged = {r.key(): r for r in _read_rows(out)}
     merged.update((r.key(), r) for r in table.rows)
     table = ResultsTable(list(merged.values()))
-    for name, write in (("results.csv", table.to_csv),
-                        ("aggregate.csv", table.aggregate_to_csv),
-                        ("timing.csv", table.timing_to_csv),
-                        ("report.json", lambda path: write_report(path, config, table))):
-        with replacing(out / name) as tmp:
-            write(tmp)
+    rows = sorted(table.rows, key=RunResult.key)
+    _write_csv(out / "results.csv", RESULTS_COLUMNS,
+               [[r.benchmark, str(r.budget), str(r.seed), r.method, repr(r.lam),
+                 *(repr(getattr(r, m)) for m in METRIC_FIELDS), r.status, json.dumps(r.error)]
+                for r in rows])
+    _write_csv(out / "aggregate.csv", AGGREGATE_COLUMNS,
+               [[a.benchmark, str(a.budget), a.method, repr(a.lam), str(a.n_runs),
+                 str(a.n_failed),
+                 *(repr(stat[m]) for m in METRIC_FIELDS for stat in (a.means, a.stds))]
+                for a in table.aggregate()])
+    _write_csv(out / "timing.csv", TIMING_COLUMNS,
+               [[r.benchmark, str(r.budget), str(r.seed), r.method, repr(r.lam),
+                 *(f"{getattr(r, f):.3f}" for f in ("wall_time", *PHASE_FIELDS))]
+                for r in rows])
+    with replacing(out / "report.json") as tmp:
+        write_report(tmp, config, table)
 
 
 def _json_safe(value):

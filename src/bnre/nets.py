@@ -161,23 +161,38 @@ def _block_bounds(n: int) -> list[int]:
     return bounds
 
 
+def _forward(net: ClassifierNet, x: np.ndarray, hidden: list[np.ndarray],
+             out: np.ndarray) -> list[np.ndarray]:
+    """Logits of the rows of ``x`` into ``out``.
+
+    The one forward pass: :meth:`ClassifierNet.logits` runs it on each
+    block and the training step on its stacked rows. Hidden layer k is
+    computed in place in ``hidden[k]``, an array of ``len(x)`` rows.
+    Returns the input of each layer: ``x``, then the hidden activations.
+    """
+    hs = [x]
+    for w, b, layer in zip(net.weights[:-1], net.biases[:-1], hidden):
+        np.matmul(hs[-1], w.T, out=layer)
+        layer += b
+        hs.append(np.maximum(layer, 0.0, out=layer))
+    np.matmul(hs[-1], net.weights[-1].T, out=out[:, None])
+    out += net.biases[-1]
+    return hs
+
+
 def _forward_blocks(net: ClassifierNet, x: np.ndarray, out: np.ndarray,
                     bounds: list[int]) -> None:
     """Logits of the blocks between consecutive ``bounds`` into ``out``."""
-    weights, biases = net.weights, net.biases
-    size = BLOCK_ROWS * max((w.shape[0] for w in weights[:-1]), default=0)
+    widths = [w.shape[0] for w in net.weights[:-1]]
+    size = BLOCK_ROWS * max(widths, default=0)
     buffers = getattr(_BUFFERS, "pair", None)
     if buffers is None or buffers[0].size < size:
         buffers = _BUFFERS.pair = (np.empty(size), np.empty(size))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        h = x[lo:hi]
-        for k, (w, b) in enumerate(zip(weights[:-1], biases[:-1])):
-            layer = buffers[k % 2][:(hi - lo) * w.shape[0]].reshape(hi - lo, w.shape[0])
-            np.matmul(h, w.T, out=layer)
-            layer += b
-            h = np.maximum(layer, 0.0, out=layer)
-        np.matmul(h, weights[-1].T, out=out[lo:hi, None])
-        out[lo:hi] += biases[-1]
+        # layer k reads layer k - 1's buffer and overwrites the other one
+        hidden = [buffers[k % 2][:(hi - lo) * width].reshape(hi - lo, width)
+                  for k, width in enumerate(widths)]
+        _forward(net, x[lo:hi], hidden, out[lo:hi])
 
 
 class DivergenceError(RuntimeError):
@@ -252,7 +267,9 @@ class ClassifierNet:
 
         Rows go through the net in blocks (:func:`_block_bounds`), each
         thread's hidden layers alternating between two buffers that thread
-        keeps, so a grid of many rows allocates no per-layer temporaries.
+        keeps, so a grid of many rows creates no per-layer arrays; numpy
+        still allocates one iterator buffer (8,192 elements) for each
+        hidden layer's broadcast bias add in each block.
         The blocks of a multi-block call are split into contiguous spans
         between the calling thread and the worker pool. The returned logits
         are a fresh array, and one net may be evaluated from several

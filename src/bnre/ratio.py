@@ -76,22 +76,20 @@ class PosteriorGrid:
     def density_at(self, theta: np.ndarray) -> float:
         return float(self.densities[self.locate(theta)])
 
-    def mean(self) -> np.ndarray:
-        """Posterior mean per dimension from the grid masses."""
-        return np.array([float(m @ a) for m, a in zip(self._marginals(), self.axes)])
+    def moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-dimension posterior mean and second central moment.
 
-    def second_central_moment(self) -> np.ndarray:
-        out = []
-        for m, a in zip(self._marginals(), self.axes):
-            mu = float(m @ a)
-            out.append(float(m @ (a - mu) ** 2))
-        return np.array(out)
-
-    def _marginals(self) -> list[np.ndarray]:
+        Both come from one pass over the grid's marginal masses.
+        """
         masses = self.cell_masses
-        return [np.apply_over_axes(np.sum, masses,
-                                   [k for k in range(self.ndim) if k != d]).reshape(-1)
-                for d in range(self.ndim)]
+        means, moments = [], []
+        for d, axis in enumerate(self.axes):
+            others = [k for k in range(self.ndim) if k != d]
+            m = np.apply_over_axes(np.sum, masses, others).reshape(-1)
+            mu = float(m @ axis)
+            means.append(mu)
+            moments.append(float(m @ (axis - mu) ** 2))
+        return np.array(means), np.array(moments)
 
 
 @functools.cache

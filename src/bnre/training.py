@@ -17,9 +17,11 @@ the plateau schedule, the validation pass and the returned net in float64;
 each step's forward and backward run in float32, on float32 copies of the
 features and a float32 copy of the weights. A step gathers its rows into,
 and computes in, :class:`StepBuffers` made once per :func:`train` call, and
-Adam updates in place, so a step allocates no array. The reverse-mode tape
-(:func:`forward_on_tape`, :func:`bnre_loss_var`) is only an independent
-reference for the tests.
+Adam updates in place, so a step creates no array of its own. Numpy still
+allocates its iterator buffers (8,192 elements each) for the broadcast bias
+add of each hidden layer and for the output layer's broadcast product. The
+reverse-mode tape (:func:`forward_on_tape`, :func:`bnre_loss_var`) is only
+an independent reference for the tests.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from scipy.special import expit
 from . import autodiff
 from .autodiff import Var
 from .files import replacing
-from .nets import (ClassifierNet, DivergenceError, OptimizerState, adam_step,
+from .nets import (ClassifierNet, DivergenceError, OptimizerState, _forward, adam_step,
                    lr_schedule_update, one_blas_thread)
 from .simulators import Benchmark, Dataset
 
@@ -44,7 +46,6 @@ __all__ = [
     "TrainingDiverged",
     "epoch_index_pairs",
     "derangement_against",
-    "bce_loss",
     "balance_statistic",
     "bnre_loss",
     "bnre_loss_grads",
@@ -154,16 +155,6 @@ def epoch_index_pairs(n_samples: int, batch_size: int,
     return [(p[i:i + half], q[i:i + half]) for i in range(0, n_samples, half)]
 
 
-def bce_loss(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean binary cross-entropy in softplus form."""
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    if logits.shape != labels.shape:
-        raise ValueError("logits and labels must have equal length")
-    # label 1: softplus(-z), label 0: softplus(z)
-    return float(np.mean(np.logaddexp(0.0, np.where(labels > 0.5, -logits, logits))))
-
-
 def balance_statistic(probs_joint: np.ndarray, probs_marginal: np.ndarray) -> float:
     """B = mean(d_hat on joint pairs) + mean(d_hat on marginal pairs)."""
     pj = np.asarray(probs_joint, dtype=np.float64)
@@ -203,12 +194,13 @@ def _loss_and_balance(zj: np.ndarray, zm: np.ndarray, lam: float) -> tuple[float
     return float(bce + (b - 1.0) * (b - 1.0) * lam), float(b)
 
 
-def bnre_loss(logits_joint: np.ndarray, logits_marginal: np.ndarray, lam: float) -> float:
-    """Value of the balanced loss for plain arrays (labels 1 joint, 0 marginal)."""
+def bnre_loss(logits_joint: np.ndarray, logits_marginal: np.ndarray,
+              lam: float) -> tuple[float, float]:
+    """Balanced loss and B for plain arrays (labels 1 joint, 0 marginal)."""
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     return _loss_and_balance(np.asarray(logits_joint, dtype=np.float64),
-                             np.asarray(logits_marginal, dtype=np.float64), lam)[0]
+                             np.asarray(logits_marginal, dtype=np.float64), lam)
 
 
 class StepBuffers:
@@ -216,12 +208,13 @@ class StepBuffers:
 
     ``rows`` holds the stacked joint and marginal inputs; ``acts[k]`` and
     ``backs[k]`` the output of hidden layer k and the loss gradient at its
-    pre-activation; ``mask`` one hidden layer's ReLU mask; ``z``, ``s``,
-    ``g`` and ``tmp`` the logits, their sigmoids, the loss gradient at the
-    logits and a scratch vector. ``grad`` is one flat gradient in the
-    net's parameter layout (:meth:`ClassifierNet.from_flat`) and ``grads``
-    its views in ``net.parameters()`` order. Every float array has the
-    net's dtype. A step on fewer rows uses the leading rows of each buffer.
+    pre-activation; ``mask`` one hidden layer's ReLU mask (1 where a unit
+    is active, else 0); ``z``, ``s``, ``g`` and ``tmp`` the logits, their
+    sigmoids, the loss gradient at the logits and a scratch vector.
+    ``grad`` is one flat gradient in the net's parameter layout
+    (:meth:`ClassifierNet.from_flat`) and ``grads`` its views in
+    ``net.parameters()`` order. Every array has the net's dtype. A step on
+    fewer rows uses the leading rows of each buffer.
     """
 
     def __init__(self, net: ClassifierNet, rows: int):
@@ -230,7 +223,7 @@ class StepBuffers:
         self.rows = np.empty((rows, net.input_dim), dtype)
         self.acts = [np.empty((rows, h), dtype) for h in widths]
         self.backs = [np.empty((rows, h), dtype) for h in widths]
-        self.mask = np.empty(rows * max(widths, default=0), dtype=bool)
+        self.mask = np.empty(rows * max(widths, default=0), dtype)
         self.z, self.s, self.g, self.tmp = (np.empty(rows, dtype) for _ in range(4))
         shapes = [p.shape for p in net.parameters()]
         self.grad = np.empty(sum(math.prod(shape) for shape in shapes), dtype)
@@ -263,14 +256,8 @@ def bnre_loss_grads(net: ClassifierNet, feats_j: np.ndarray, feats_m: np.ndarray
     # numpy skips these copies when the inputs already are these rows, as in train
     x[:nj] = feats_j
     x[nj:] = feats_m
-    hs = [x]
-    for w, b, act in zip(net.weights[:-1], net.biases[:-1], buffers.acts):
-        h = np.matmul(hs[-1], w.T, out=act[:n])
-        h += b
-        hs.append(np.maximum(h, 0.0, out=h))
     z, s, g, tmp = buffers.z[:n], buffers.s[:n], buffers.g[:n], buffers.tmp[:n]
-    np.matmul(hs[-1], net.weights[-1].T, out=z[:, None])
-    z += net.biases[-1]
+    hs = _forward(net, x, [act[:n] for act in buffers.acts], z)
     loss, b = _loss_and_balance(z[:nj], z[nj:], lam)
     # the formulas above, one operation at a time in their order of operations
     expit(z, out=s)
@@ -292,7 +279,8 @@ def bnre_loss_grads(net: ClassifierNet, feats_j: np.ndarray, feats_m: np.ndarray
                 np.multiply(g, net.weights[k], out=back)
             else:
                 np.matmul(g, net.weights[k], out=back)
-            back *= np.greater(hs[k], 0.0, out=buffers.mask[:back.size].reshape(back.shape))
+            # hs[k] >= 0, so its sign is the ReLU mask, in the net's dtype
+            back *= np.sign(hs[k], out=buffers.mask[:back.size].reshape(back.shape))
             g = back
     return loss, buffers.grads
 
@@ -309,7 +297,7 @@ def finite_diff_check(net: ClassifierNet, feats_j: np.ndarray, feats_m: np.ndarr
     _, analytic = bnre_loss_grads(net, feats_j, feats_m, lam)
 
     def loss_value() -> float:
-        return bnre_loss(net.logits(feats_j), net.logits(feats_m), lam)
+        return bnre_loss(net.logits(feats_j), net.logits(feats_m), lam)[0]
 
     worst = 0.0
     for arr, grad in zip(net.parameters(), analytic):
@@ -414,12 +402,10 @@ def train(benchmark: Benchmark, dataset: Dataset, config: TrainConfig
                 raise TrainingDiverged(str(err), history) from err
             epoch_loss += loss_value * half
 
-        zj_val = net.logits(val_joint_feats)
-        zm_val = net.logits(val_marg_feats)
-        val_loss = bnre_loss(zj_val, zm_val, config.lam)
+        val_loss, balance = bnre_loss(net.logits(val_joint_feats),
+                                      net.logits(val_marg_feats), config.lam)
         if math.isnan(val_loss):
             raise TrainingDiverged("NaN validation loss", history)
-        balance = balance_statistic(expit(zj_val), expit(zm_val))
 
         history.train_loss.append(epoch_loss / n_train)
         history.val_loss.append(val_loss)

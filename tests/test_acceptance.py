@@ -36,6 +36,10 @@ def report(number, name, ok, detail):
     print(f"ACCEPTANCE {number} ({name}): {'PASS' if ok else 'FAIL'} - {detail}")
 
 
+def at_budget(table, budget):
+    return [r for r in table.rows if r.budget == budget]
+
+
 def seed_mean_se(values):
     values = np.asarray(values, dtype=np.float64)
     se = values.std(ddof=1) / math.sqrt(len(values)) if len(values) > 1 else 0.0
@@ -152,9 +156,9 @@ def test_criterion_5_conservativeness_sharpness_tradeoff(paper_experiment):
         benchmark = get_benchmark(name)
         baseline = -math.log(benchmark.inference_prior.volume)
         bnre = [r.expected_log_posterior
-                for r in paper_experiment[name, "bnre"].select(budget=1024)]
+                for r in at_budget(paper_experiment[name, "bnre"], 1024)]
         nre = [r.expected_log_posterior
-               for r in paper_experiment[name, "nre"].select(budget=1024)]
+               for r in at_budget(paper_experiment[name, "nre"], 1024)]
         mb, seb = seed_mean_se(bnre)
         mn, sen = seed_mean_se(nre)
         se_diff = math.hypot(seb, sen)
@@ -172,13 +176,13 @@ def test_criterion_6_lambda_sweep(sweep_table):
     lambdas = [1.0, 10.0, 100.0, 1000.0, 32768.0]
     stats = []
     for lam in lambdas:
-        gaps = [r.balance_gap for r in table.select(lam=lam)]
+        gaps = [r.balance_gap for r in table.rows if r.lam == lam]
         stats.append(seed_mean_se(gaps))
     monotone = all(
         stats[i + 1][0] <= stats[i][0] + 2 * math.hypot(stats[i][1], stats[i + 1][1])
         for i in range(len(stats) - 1))
     elp_32768, _ = seed_mean_se(
-        [r.expected_log_posterior for r in table.select(lam=32768.0)])
+        [r.expected_log_posterior for r in table.rows if r.lam == 32768.0])
     collapse_gap = abs(elp_32768 - (-math.log(10.0)))
     ok = (table.all_ok and monotone and collapse_gap <= 0.1 and elapsed < 1800.0)
     report(6, "lambda sweep", ok,
@@ -189,8 +193,8 @@ def test_criterion_6_lambda_sweep(sweep_table):
 
 
 def test_criterion_7_variance_ordering(paper_experiment):
-    bnre = [r.variance for r in paper_experiment["tractable1d", "bnre"].select(budget=1024)]
-    nre = [r.variance for r in paper_experiment["tractable1d", "nre"].select(budget=1024)]
+    bnre = [r.variance for r in at_budget(paper_experiment["tractable1d", "bnre"], 1024)]
+    nre = [r.variance for r in at_budget(paper_experiment["tractable1d", "nre"], 1024)]
     mb, seb = seed_mean_se(bnre)
     mn, sen = seed_mean_se(nre)
     se_diff = math.hypot(seb, sen)
@@ -201,7 +205,7 @@ def test_criterion_7_variance_ordering(paper_experiment):
 
 
 def test_criterion_8_experiment_determinism(tmp_path_factory):
-    tables = []
+    tables, written = [], []
     for attempt in range(2):
         out = tmp_path_factory.mktemp(f"det{attempt}")
         config = ExperimentConfig(benchmark="tractable1d", budgets=(512,),
@@ -210,7 +214,8 @@ def test_criterion_8_experiment_determinism(tmp_path_factory):
                                   hidden_layers=2, hidden_units=16,
                                   output_dir=str(out))
         tables.append(run_experiment(config))
-    identical = tables[0].comparable_rows() == tables[1].comparable_rows()
+        written.append([(out / name).read_bytes() for name in ("results.csv", "aggregate.csv")])
+    identical = written[0] == written[1]
     ok = identical and tables[0].all_ok
     report(8, "determinism", ok,
            f"{len(tables[0].rows)} runs repeated bitwise-identically: {identical}")

@@ -37,6 +37,12 @@ def tiny_config(out_dir, **overrides):
     return ExperimentConfig(**defaults)
 
 
+def table_bytes(config):
+    """The bytes of an experiment's results.csv and aggregate.csv."""
+    out = Path(config.output_dir)
+    return [(out / name).read_bytes() for name in ("results.csv", "aggregate.csv")]
+
+
 @pytest.fixture(scope="module")
 def completed_experiment(tmp_path_factory):
     out = tmp_path_factory.mktemp("exp")
@@ -57,9 +63,9 @@ class TestRunExperiment:
 
     def test_nre_rows_record_lambda_zero(self, completed_experiment):
         _, table = completed_experiment
-        nre = table.select(method="nre")
+        nre = [r for r in table.rows if r.method == "nre"]
         assert nre and all(r.lam == 0.0 for r in nre)
-        bnre = table.select(method="bnre")
+        bnre = [r for r in table.rows if r.method == "bnre"]
         assert bnre and all(r.lam == 100.0 for r in bnre)
 
     def test_artifacts_written(self, completed_experiment):
@@ -88,22 +94,20 @@ class TestRunExperiment:
     def test_rerun_is_bitwise_identical(self, completed_experiment, tmp_path):
         config, table = completed_experiment
         rerun_config = tiny_config(tmp_path / "rerun")
-        rerun = run_experiment(rerun_config)
-        assert rerun.comparable_rows() == table.comparable_rows()
-        from pathlib import Path
+        run_experiment(rerun_config)
+        assert table_bytes(rerun_config) == table_bytes(config)
         first, second = Path(config.output_dir), Path(tmp_path / "rerun")
-        assert ((first / "results.csv").read_bytes()
-                == (second / "results.csv").read_bytes())
         for sub in ("datasets", "weights"):
             for path in sorted((first / sub).iterdir()):
                 assert path.read_bytes() == (second / sub / path.name).read_bytes()
 
     def test_worker_pool_matches_serial(self, completed_experiment, tmp_path, monkeypatch):
-        _, reference = completed_experiment
+        reference, _ = completed_experiment
         for cpus in (1, 2):
             monkeypatch.setattr(harness, "usable_cpus", lambda cpus=cpus: cpus)
-            table = run_experiment(tiny_config(tmp_path / f"cpus{cpus}"))
-            assert table.comparable_rows() == reference.comparable_rows()
+            config = tiny_config(tmp_path / f"cpus{cpus}")
+            run_experiment(config)
+            assert table_bytes(config) == table_bytes(reference)
 
     def test_worker_pool_after_a_multi_block_forward_matches_serial(self, tmp_path,
                                                                     monkeypatch):
@@ -112,12 +116,14 @@ class TestRunExperiment:
         config = dict(benchmark="mg1", budgets=(64,), seeds=(0, 1), methods=("bnre",),
                       n_test=4, epochs=2)
         monkeypatch.setattr(harness, "usable_cpus", lambda: 1)
-        serial = run_experiment(tiny_config(tmp_path / "serial", **config))
+        serial_config = tiny_config(tmp_path / "serial", **config)
+        serial = run_experiment(serial_config)
         assert nets._POOL is not None and nets._POOL[0] == os.getpid()
         monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
-        parallel = run_experiment(tiny_config(tmp_path / "par", **config))
+        parallel_config = tiny_config(tmp_path / "par", **config)
+        run_experiment(parallel_config)
         assert serial.all_ok
-        assert parallel.comparable_rows() == serial.comparable_rows()
+        assert table_bytes(parallel_config) == table_bytes(serial_config)
 
     def test_one_run_experiment_builds_no_process_pool(self, tmp_path, monkeypatch):
         # a lone run keeps every core for its grid forwards, however many there are
@@ -394,8 +400,10 @@ class TestLambdaSweep:
         sweep_config = tiny_config(tmp_path / "sweep", budgets=(64,),
                                    methods=("bnre",))
         sweep = lambda_sweep(sweep_config, [0.0, 100.0])
-        nre_rows = {r.seed: r for r in table.select(method="nre", budget=64)}
-        for row in sweep.select(lam=0.0):
+        nre_rows = {r.seed: r for r in table.rows if r.method == "nre" and r.budget == 64}
+        lam_zero = [r for r in sweep.rows if r.lam == 0.0]
+        assert lam_zero
+        for row in lam_zero:
             assert row.method == "nre"
             ref = nre_rows[row.seed]
             assert row.coverage_auc == ref.coverage_auc

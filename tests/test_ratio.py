@@ -233,8 +233,27 @@ class TestGridMoments:
         x = np.array([1.7])
         grid = tractable_posterior_grid(tractable_benchmark, x)
         dist = truncnorm(a=(-5 - x[0]), b=(5 - x[0]), loc=x[0], scale=1.0)
-        assert grid.mean()[0] == pytest.approx(dist.mean(), abs=1e-4)
-        assert grid.second_central_moment()[0] == pytest.approx(dist.var(), abs=1e-4)
+        mean, moment = grid.moments()
+        assert mean[0] == pytest.approx(dist.mean(), abs=1e-4)
+        assert moment[0] == pytest.approx(dist.var(), abs=1e-4)
+
+    def test_moments_equal_the_per_dimension_formulas_on_a_2d_grid(self):
+        mg1 = get_benchmark("mg1")
+        rng = substream("grid-moments", 0)
+        net = random_net(rng, [mg1.classifier_input_dim(), 16, 16, 1])
+        grid = posterior_grid(net, mg1, generate_dataset(mg1, 1, seed=0).x[0])
+        assert grid.ndim == 2
+        masses = grid.cell_masses
+        means, moments = [], []
+        for d, axis in enumerate(grid.axes):
+            # each dimension's marginal, then its mean and second central moment
+            m = np.apply_over_axes(np.sum, masses, [1 - d]).reshape(-1)
+            mu = float(m @ axis)
+            means.append(mu)
+            moments.append(float(m @ (axis - mu) ** 2))
+        got_means, got_moments = grid.moments()
+        assert got_means.tobytes() == np.array(means).tobytes()
+        assert got_moments.tobytes() == np.array(moments).tobytes()
 
     def test_locate_maps_theta_to_containing_cell(self, tractable_benchmark):
         grid = tractable_posterior_grid(tractable_benchmark, np.array([0.0]))
