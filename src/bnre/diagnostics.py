@@ -148,17 +148,17 @@ class SbcResult:
     degenerate: bool
 
 
-def sbc_rank(grid: PosteriorGrid, theta_star: np.ndarray, rng: np.random.Generator,
-             samples: int) -> float:
-    """Rank of theta* among ``samples`` draws from the grid posterior.
+def sbc_rank(grid: PosteriorGrid, theta_star: np.ndarray, uniforms: np.ndarray) -> float:
+    """Rank of theta* among draws from the grid posterior, one per uniform.
 
-    The statistic is the grid density; the rank is the fraction of draws
-    whose density is <= the ground truth's, which is uniform on [0, 1] for
-    a faithful posterior.
+    ``uniforms`` lie in [0, 1) and pick the draws by inverse CDF over the
+    cells. The statistic is the grid density; the rank is the fraction of
+    draws whose density is <= the ground truth's, which is uniform on
+    [0, 1] for a faithful posterior.
     """
     masses = grid.cell_masses.reshape(-1)
     cum = np.cumsum(masses)
-    u = rng.random(samples) * cum[-1]
+    u = uniforms * cum[-1]
     cells = np.minimum(np.searchsorted(cum, u), masses.size - 1)
     f_draws = grid.densities.reshape(-1)[cells]
     return float(np.mean(f_draws <= grid.density_at(theta_star)))

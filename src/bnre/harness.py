@@ -3,13 +3,15 @@
 A run is keyed by (benchmark, budget, seed, lambda); its dataset, its
 training streams, and all of its diagnostics derive their randomness from
 that key, so tables are reproducible bitwise and independent of the number
-of processes or their scheduling. An experiment spreads its runs over one
-process per usable CPU. The method label follows the lambda: lambda = 0 is
-plain NRE, anything larger is BNRE, which makes a lambda-sweep row at 0
-coincide with the corresponding NRE row. Held-out test sets come from a
-dedicated "test" stream namespace and therefore never overlap training
-datasets. Wall-clock timings are recorded in a separate artifact so that
-the scientific outputs stay byte-for-byte deterministic.
+of processes, threads or their scheduling. An experiment spreads its runs
+over one process per usable CPU; a lone run spreads its test pairs over
+one thread per usable CPU instead. The method label follows the lambda:
+lambda = 0 is plain NRE, anything larger is BNRE, which makes a
+lambda-sweep row at 0 coincide with the corresponding NRE row. Held-out
+test sets come from a dedicated "test" stream namespace and therefore
+never overlap training datasets. Wall-clock timings are recorded in a
+separate artifact so that the scientific outputs stay byte-for-byte
+deterministic.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
+import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -29,7 +33,7 @@ from .diagnostics import (DEFAULT_LEVELS, CoverageCurve, coverage_curve,
                           coverage_indicators, mean_log_density, sbc_rank,
                           sbc_uniformity, scaled_bias_variance)
 from .files import replacing
-from .nets import keep_blocks_on_caller, load_weights, save_weights, usable_cpus
+from .nets import _blas_threads_setter, one_blas_thread, save_weights
 from .ratio import DegenerateGridError, posterior_grid
 from .rng import stable_seed, substream
 from .simulators import (Benchmark, Dataset, RegenerationExhausted, generate_dataset,
@@ -51,7 +55,6 @@ __all__ = [
     "save_dataset",
     "load_dataset",
     "save_weights",
-    "load_weights",
 ]
 
 METRIC_FIELDS = ("coverage_auc", "coverage_auc_se", "expected_log_posterior",
@@ -263,28 +266,65 @@ class PairDiagnostics:
 
 
 def diagnose_pairs(posterior_fn, pairs, levels=DEFAULT_LEVELS, sbc_samples: int = 0,
-                   sbc_rng: np.random.Generator | None = None) -> PairDiagnostics:
+                   sbc_rng: np.random.Generator | None = None,
+                   threads: int = 1) -> PairDiagnostics:
     """Build each (theta*, x) pair's grid once and keep only its small results.
 
-    ``posterior_fn`` maps an observable to a :class:`PosteriorGrid`. With
-    ``sbc_samples`` > 0 each pair's SBC rank is drawn from its grid, in pair
-    order, from ``sbc_rng``. No grid outlives its pair.
+    ``posterior_fn`` maps an observable to a :class:`PosteriorGrid`; with
+    ``threads`` > 1 it is called from several threads at once. The calling
+    thread and ``threads - 1`` worker threads, each under
+    :func:`one_blas_thread`, take pair indices in order from one lock. With
+    ``sbc_samples`` > 0 each pair's SBC uniforms are drawn from ``sbc_rng``
+    under that lock, in pair order, so the ranks do not depend on the
+    threads. No grid outlives its pair. A pair that raises stops the
+    handing-out; once every thread is done, the exception of the first pair
+    that raised is re-raised, as a loop over the pairs in order would raise
+    it.
     """
     if sbc_samples and sbc_samples < 100:
         raise ValueError("sbc_samples must be 0 (off) or >= 100")
     levels = np.asarray(levels, dtype=np.float64)
-    thetas, indicators, densities, means, moments, ranks = [], [], [], [], [], []
-    for theta_star, x in pairs:
-        grid = posterior_fn(x)
-        theta_star = np.atleast_1d(np.asarray(theta_star, dtype=np.float64))
-        thetas.append(theta_star)
-        indicators.append(coverage_indicators(grid, theta_star, levels))
-        densities.append(grid.density_at(theta_star))
-        mean, moment = grid.moments()
-        means.append(mean)
-        moments.append(moment)
-        if sbc_samples:
-            ranks.append(sbc_rank(grid, theta_star, sbc_rng, sbc_samples))
+    pairs = list(pairs)
+    rows, failures = [None] * len(pairs), {}
+    lock = threading.Lock()
+    handed_out = 0
+
+    def take():
+        nonlocal handed_out
+        with lock:
+            if failures or handed_out == len(pairs):
+                return None
+            handed_out += 1
+            return handed_out - 1, sbc_rng.random(sbc_samples) if sbc_samples else None
+
+    def work():
+        with one_blas_thread():
+            while (task := take()) is not None:
+                i, uniforms = task
+                try:
+                    grid = posterior_fn(pairs[i][1])
+                    theta = np.atleast_1d(np.asarray(pairs[i][0], dtype=np.float64))
+                    rows[i] = (theta, coverage_indicators(grid, theta, levels),
+                               grid.density_at(theta), *grid.moments(),
+                               None if uniforms is None else sbc_rank(grid, theta, uniforms))
+                except BaseException as err:  # re-raised below, on the calling thread
+                    with lock:
+                        failures[i] = err
+
+    workers = [threading.Thread(target=work, name=f"bnre-pairs-{k}")
+               for k in range(1, min(threads, len(pairs)))]
+    for worker in workers:
+        worker.start()
+    try:
+        work()
+    finally:
+        with lock:
+            handed_out = len(pairs)
+        for worker in workers:
+            worker.join()
+    if failures:
+        raise failures[min(failures)]
+    thetas, indicators, densities, means, moments, ranks = list(zip(*rows)) or [()] * 6
     return PairDiagnostics(np.asarray(thetas), np.asarray(indicators, dtype=bool),
                            np.asarray(densities), np.asarray(means), np.asarray(moments),
                            np.asarray(ranks) if sbc_samples else None)
@@ -293,18 +333,19 @@ def diagnose_pairs(posterior_fn, pairs, levels=DEFAULT_LEVELS, sbc_samples: int 
 def evaluate_net(net, benchmark: Benchmark, test_set: Dataset,
                  levels=DEFAULT_LEVELS, sbc_samples: int = 0,
                  sbc_rng: np.random.Generator | None = None,
-                 balance_rng: np.random.Generator | None = None) -> dict:
+                 balance_rng: np.random.Generator | None = None, threads: int = 1) -> dict:
     """All posterior diagnostics for one trained classifier in one grid pass.
 
     Returns coverage curve, coverage AUC (+ propagated SE), expected log
     posterior and the number of floored test densities, scaled
     bias/variance, the classifier's balance gap |B - 1| on the test set,
-    and optionally SBC ranks.
+    and optionally SBC ranks. The grid pass runs on ``threads`` threads
+    (:func:`diagnose_pairs`); the results do not depend on them.
     """
     levels = np.asarray(levels, dtype=np.float64)
     per_pair = diagnose_pairs(lambda x: posterior_grid(net, benchmark, x),
                               _test_pairs(benchmark, test_set), levels, sbc_samples,
-                              sbc_rng or np.random.default_rng(1))
+                              sbc_rng or np.random.default_rng(1), threads)
     curve = coverage_curve(per_pair.indicators, levels)
     elp, floored = mean_log_density(per_pair.densities)
     bias, variance = scaled_bias_variance(per_pair.theta_star, per_pair.means,
@@ -361,8 +402,12 @@ class _PhaseClock(dict):
             self[phase] = self.get(phase, 0.0) + time.perf_counter() - start
 
 
-def execute_run(config: ExperimentConfig, budget: int, seed: int, lam: float) -> RunResult:
-    """Train and diagnose one (budget, seed, lambda) cell, persisting artifacts."""
+def execute_run(config: ExperimentConfig, budget: int, seed: int, lam: float,
+                threads: int = 1) -> RunResult:
+    """Train and diagnose one (budget, seed, lambda) cell, persisting artifacts.
+
+    The test pairs are diagnosed on ``threads`` threads.
+    """
     out = Path(config.output_dir)
     benchmark = get_benchmark(config.benchmark)
     method = _method_for(lam)
@@ -390,6 +435,7 @@ def execute_run(config: ExperimentConfig, budget: int, seed: int, lam: float) ->
                 sbc_samples=config.sbc_samples,
                 sbc_rng=substream("sbc", config.benchmark, budget, seed, float(lam)),
                 balance_rng=substream("balance", config.benchmark, budget, seed, float(lam)),
+                threads=threads,
             )
 
         with clock("persist_s"):
@@ -412,7 +458,15 @@ def execute_run(config: ExperimentConfig, budget: int, seed: int, lam: float) ->
                          status="failed", error=f"{type(err).__name__}: {err}")
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, which ``taskset`` narrows."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _execute_many(config: ExperimentConfig, specs: list[tuple[int, int, float]]) -> list[RunResult]:
+    """Results of ``execute_run`` for each (budget, seed, lambda) spec, in spec order."""
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     benchmark = get_benchmark(config.benchmark)
@@ -422,12 +476,16 @@ def _execute_many(config: ExperimentConfig, specs: list[tuple[int, int, float]])
             _ensure_dataset(benchmark, budget, seed, out)
     processes = min(usable_cpus(), len(specs))
     if processes == 1:
-        # one run keeps every core for its grid forwards
-        return [execute_run(config, *spec) for spec in specs]
-    # the processes already share the cores: no forward splits its blocks
-    with ProcessPoolExecutor(processes, initializer=keep_blocks_on_caller) as pool:
-        futures = [pool.submit(execute_run, config, *spec) for spec in specs]
-        return [f.result() for f in futures]
+        # one run keeps every core for its test pairs; without a way to pin
+        # each thread's BLAS to one core, threads would only contend
+        threads = usable_cpus() if _blas_threads_setter() is not None else 1
+        return [execute_run(config, *spec, threads=threads) for spec in specs]
+    # the processes already share the cores, so each evaluates on one thread;
+    # the largest budgets start first, so that no long run starts last and runs alone
+    with ProcessPoolExecutor(processes) as pool:
+        futures = {i: pool.submit(execute_run, config, *specs[i])
+                   for i in sorted(range(len(specs)), key=lambda i: -specs[i][0])}
+        return [futures[i].result() for i in range(len(specs))]
 
 
 def run_experiment(config: ExperimentConfig) -> ResultsTable:

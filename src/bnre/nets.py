@@ -12,11 +12,10 @@ thread (:func:`one_blas_thread`), so identical (config, seed) pairs
 reproduce bitwise-identical trajectories.
 
 :meth:`ClassifierNet.logits` evaluates its rows in blocks of
-:data:`BLOCK_ROWS`. A call of several blocks splits them into contiguous
-spans, one for the calling thread and one for each of a pool of worker
-threads, one per further CPU the process may use. Rows are independent and
-each block is computed the same way on any thread, so the logits do not
-depend on the CPU count.
+:data:`BLOCK_ROWS`, in order, on the calling thread. Callers that want
+several cores evaluate independent inputs on threads of their own, as
+``harness.diagnose_pairs`` does with test pairs; each block is computed the
+same way on any thread, so the logits do not depend on the thread.
 """
 
 from __future__ import annotations
@@ -26,9 +25,7 @@ import ctypes
 import functools
 import json
 import math
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,8 +42,6 @@ __all__ = [
     "save_weights",
     "load_weights",
     "one_blas_thread",
-    "keep_blocks_on_caller",
-    "usable_cpus",
 ]
 
 ADAM_BETA1 = 0.9
@@ -73,10 +68,7 @@ def _blas_threads_setter():
     that exports the same name; pinning that copy would leave numpy's
     matmuls on all threads.
     """
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:  # numpy < 2
-        from numpy.core import _multiarray_umath as umath
+    from numpy._core import _multiarray_umath as umath
     try:
         setter = ctypes.CDLL(umath.__file__).openblas_set_num_threads_local
     except (OSError, AttributeError):
@@ -104,47 +96,9 @@ def one_blas_thread():
         setter(previous)
 
 
-# (pid, pool or None, threads per call): built on first use in each process,
-# since a forked child has none of its parent's worker threads. Two threads
-# that build it at once each get a working pool; the one not kept is
-# collected after its call returns, and its threads then exit.
-_POOL: tuple[int, ThreadPoolExecutor | None, int] | None = None
-
 # each thread's ping-pong buffers for the hidden layers of one block; they
 # live as long as the thread, so the forward frees nothing large
 _BUFFERS = threading.local()
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set, which ``taskset`` narrows."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def keep_blocks_on_caller() -> None:
-    """Evaluate every block on the calling thread, in this process.
-
-    For processes that already share the cores, such as the harness's
-    process pool.
-    """
-    global _POOL
-    _POOL = (os.getpid(), None, 1)
-
-
-def _block_pool() -> tuple[ThreadPoolExecutor | None, int]:
-    """Pinned worker threads (one per further usable CPU) and threads per call."""
-    global _POOL
-    pid = os.getpid()
-    if _POOL is None or _POOL[0] != pid:
-        setter = _blas_threads_setter()
-        cpus = usable_cpus()
-        if setter is None or cpus < 2:
-            _POOL = (pid, None, 1)
-        else:
-            _POOL = (pid, ThreadPoolExecutor(cpus - 1, "bnre-forward",
-                                             initializer=setter, initargs=(1,)), cpus)
-    return _POOL[1], _POOL[2]
 
 
 def _block_bounds(n: int) -> list[int]:
@@ -178,21 +132,6 @@ def _forward(net: ClassifierNet, x: np.ndarray, hidden: list[np.ndarray],
     np.matmul(hs[-1], net.weights[-1].T, out=out[:, None])
     out += net.biases[-1]
     return hs
-
-
-def _forward_blocks(net: ClassifierNet, x: np.ndarray, out: np.ndarray,
-                    bounds: list[int]) -> None:
-    """Logits of the blocks between consecutive ``bounds`` into ``out``."""
-    widths = [w.shape[0] for w in net.weights[:-1]]
-    size = BLOCK_ROWS * max(widths, default=0)
-    buffers = getattr(_BUFFERS, "pair", None)
-    if buffers is None or buffers[0].size < size:
-        buffers = _BUFFERS.pair = (np.empty(size), np.empty(size))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        # layer k reads layer k - 1's buffer and overwrites the other one
-        hidden = [buffers[k % 2][:(hi - lo) * width].reshape(hi - lo, width)
-                  for k, width in enumerate(widths)]
-        _forward(net, x[lo:hi], hidden, out[lo:hi])
 
 
 class DivergenceError(RuntimeError):
@@ -265,30 +204,30 @@ class ClassifierNet:
     def logits(self, x: np.ndarray) -> np.ndarray:
         """Batch forward: [n, input_dim] -> [n].
 
-        Rows go through the net in blocks (:func:`_block_bounds`), each
-        thread's hidden layers alternating between two buffers that thread
-        keeps, so a grid of many rows creates no per-layer arrays; numpy
-        still allocates one iterator buffer (8,192 elements) for each
-        hidden layer's broadcast bias add in each block.
-        The blocks of a multi-block call are split into contiguous spans
-        between the calling thread and the worker pool. The returned logits
-        are a fresh array, and one net may be evaluated from several
-        threads at once.
+        Rows go through the net in blocks (:func:`_block_bounds`), in order
+        on the calling thread under :func:`one_blas_thread`, its hidden
+        layers alternating between two buffers that thread keeps, so a grid
+        of many rows creates no per-layer arrays; numpy still allocates one
+        iterator buffer (8,192 elements) for each hidden layer's broadcast
+        bias add in each block. The returned logits are a fresh array, and
+        one net may be evaluated from several threads at once.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ValueError(f"expected [n, {self.input_dim}] input, got {x.shape}")
         out = np.empty(x.shape[0])
+        widths = [w.shape[0] for w in self.weights[:-1]]
+        size = BLOCK_ROWS * max(widths, default=0)
+        buffers = getattr(_BUFFERS, "pair", None)
+        if buffers is None or buffers[0].size < size:
+            buffers = _BUFFERS.pair = (np.empty(size), np.empty(size))
         bounds = _block_bounds(x.shape[0])
-        pool, threads = _block_pool() if len(bounds) > 2 else (None, 1)
-        blocks = len(bounds) - 1
-        cuts = [blocks * i // threads for i in range(threads + 1)]
-        spans = [bounds[a:b + 1] for a, b in zip(cuts[:-1], cuts[1:]) if a < b]
         with one_blas_thread():
-            futures = [pool.submit(_forward_blocks, self, x, out, span) for span in spans[1:]]
-            _forward_blocks(self, x, out, spans[0])
-            for future in futures:
-                future.result()
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                # layer k reads layer k - 1's buffer and overwrites the other one
+                hidden = [buffers[k % 2][:(hi - lo) * width].reshape(hi - lo, width)
+                          for k, width in enumerate(widths)]
+                _forward(self, x[lo:hi], hidden, out[lo:hi])
         return out
 
 

@@ -26,7 +26,6 @@ __all__ = [
     "posterior_grid",
     "grid_axes",
     "tractable_posterior_grid",
-    "total_variation",
 ]
 
 
@@ -146,10 +145,3 @@ def tractable_posterior_grid(benchmark: Tractable1D, x: np.ndarray) -> Posterior
         raise ValueError("exact posterior is only available for tractable1d")
     axes = grid_axes(benchmark)
     return PosteriorGrid(axes, tractable_posterior(x, axes[0]))
-
-
-def total_variation(a: PosteriorGrid, b: PosteriorGrid) -> float:
-    """TV distance between two posteriors on the same grid."""
-    if a.densities.shape != b.densities.shape:
-        raise ValueError("grids must share a shape")
-    return float(0.5 * np.abs(a.cell_masses - b.cell_masses).sum())

@@ -44,6 +44,13 @@ def random_net(rng, sizes):
     return ClassifierNet(weights, biases)
 
 
+def total_variation(a, b) -> float:
+    """TV distance between two posteriors on the same grid."""
+    if a.densities.shape != b.densities.shape:
+        raise ValueError("grids must share a shape")
+    return float(0.5 * np.abs(a.cell_masses - b.cell_masses).sum())
+
+
 def batch_away_from_kinks(net, rng, n_rows, margin=1e-3, max_tries=500):
     """Input batch whose hidden pre-activations all clear the ReLU kink."""
     for _ in range(max_tries):

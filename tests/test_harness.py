@@ -1,17 +1,21 @@
 import json
 import math
 import os
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bnre import harness, nets
+from bnre import harness
 from bnre.harness import (PHASE_FIELDS, ExperimentConfig, ResultsTable, RunResult,
-                          _ensure_dataset, evaluate_net, lambda_sweep, run_experiment)
+                          _ensure_dataset, _test_pairs, diagnose_pairs, evaluate_net,
+                          execute_run, lambda_sweep, run_experiment)
 from bnre.nets import ClassifierNet
-from bnre.ratio import PosteriorGrid, grid_axes, posterior_grid
+from bnre.ratio import DegenerateGridError, PosteriorGrid, grid_axes, posterior_grid
 from bnre.rng import substream
 from bnre.simulators import (RegenerationExhausted, generate_dataset, get_benchmark,
                              load_dataset, save_dataset)
@@ -111,19 +115,44 @@ class TestRunExperiment:
 
     def test_worker_pool_after_a_multi_block_forward_matches_serial(self, tmp_path,
                                                                     monkeypatch):
-        # the serial run's 128x128 grids start this process's forward threads;
-        # the forked workers must neither reuse nor wait for them
-        config = dict(benchmark="mg1", budgets=(64,), seeds=(0, 1), methods=("bnre",),
-                      n_test=4, epochs=2)
-        monkeypatch.setattr(harness, "usable_cpus", lambda: 1)
-        serial_config = tiny_config(tmp_path / "serial", **config)
-        serial = run_experiment(serial_config)
-        assert nets._POOL is not None and nets._POOL[0] == os.getpid()
+        # each lone run diagnoses its 128x128 grids on two threads in this
+        # process; the pool forked after them diagnoses on one thread each
+        config = dict(benchmark="mg1", budgets=(64,), methods=("bnre",), n_test=4, epochs=2)
         monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
-        parallel_config = tiny_config(tmp_path / "par", **config)
+        for seed in (0, 1):
+            assert run_experiment(tiny_config(tmp_path / "serial", seeds=(seed,),
+                                              **config)).all_ok
+        parallel_config = tiny_config(tmp_path / "par", seeds=(0, 1), **config)
         run_experiment(parallel_config)
-        assert serial.all_ok
-        assert table_bytes(parallel_config) == table_bytes(serial_config)
+        assert table_bytes(parallel_config) == table_bytes(
+            tiny_config(tmp_path / "serial", seeds=(0, 1), **config))
+
+    def test_pool_starts_the_largest_budgets_first_and_returns_spec_order(self, tmp_path,
+                                                                         monkeypatch):
+        submitted = []
+
+        class InlinePool:
+            def __init__(self, processes):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, config, budget, seed, lam):
+                submitted.append((budget, seed, lam))
+                future = Future()
+                future.set_result(fn(config, budget, seed, lam))
+                return future
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
+        table = run_experiment(tiny_config(tmp_path, seeds=(0,), epochs=1))
+        specs = [(64, 0, 0.0), (64, 0, 100.0), (128, 0, 0.0), (128, 0, 100.0)]
+        assert submitted == specs[2:] + specs[:2]
+        assert [(r.budget, r.seed, r.lam) for r in table.rows] == specs
 
     def test_one_run_experiment_builds_no_process_pool(self, tmp_path, monkeypatch):
         # a lone run keeps every core for its grid forwards, however many there are
@@ -135,6 +164,24 @@ class TestRunExperiment:
         table = run_experiment(tiny_config(tmp_path / "one", budgets=(64,), seeds=(0,),
                                            methods=("bnre",)))
         assert len(table.rows) == 1 and table.all_ok
+
+    def test_lone_run_diagnoses_on_every_cpu_only_with_blas_pinning(self, tmp_path,
+                                                                    monkeypatch):
+        # unpinned, each thread's BLAS would spread over the cores the other threads use
+        seen = []
+
+        def record_threads(config, budget, seed, lam, threads=1):
+            seen.append(threads)
+            return RunResult(config.benchmark, budget, seed, "bnre", lam)
+
+        monkeypatch.setattr(harness, "execute_run", record_threads)
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 3)
+        config = tiny_config(tmp_path, budgets=(64,), seeds=(0,), methods=("bnre",))
+        monkeypatch.setattr(harness, "_blas_threads_setter", lambda: object())
+        run_experiment(config)
+        monkeypatch.setattr(harness, "_blas_threads_setter", lambda: None)
+        run_experiment(config)
+        assert seen == [3, 1]
 
     def test_timing_csv_records_phase_wall_times(self, completed_experiment):
         config, table = completed_experiment
@@ -213,6 +260,73 @@ def reference_sbc_ranks(net, benchmark, test_set, rng, samples):
         cells = np.minimum(np.searchsorted(cum, rng.random(samples) * cum[-1]), cum.size - 1)
         ranks.append(np.mean(grid.densities.reshape(-1)[cells] <= grid.density_at(theta)))
     return np.array(ranks)
+
+
+def random_head_net(benchmark, seed):
+    """A small net whose random output layer gives each test pair its own posterior."""
+    net = ClassifierNet.initialize(benchmark.classifier_input_dim(), 2, 16,
+                                   np.random.default_rng(seed))
+    net.weights[-1][:] = np.random.default_rng(seed + 1).standard_normal(net.weights[-1].shape)
+    return net
+
+
+class TestDiagnosePairsThreads:
+    @pytest.mark.parametrize("name, n_pairs", [("mg1", 40), ("tractable1d", 300)])
+    def test_threads_give_the_one_thread_bits(self, name, n_pairs):
+        benchmark = get_benchmark(name)
+        net = random_head_net(benchmark, 3)
+        pairs = _test_pairs(benchmark, generate_dataset(benchmark, n_pairs, seed=5,
+                                                        namespace="test"))
+
+        def diagnose(threads):
+            return diagnose_pairs(lambda x: posterior_grid(net, benchmark, x), pairs,
+                                  sbc_samples=128, sbc_rng=substream("sbc-threads", 0),
+                                  threads=threads)
+
+        reference = diagnose(1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more threads than cores, switching often
+        try:
+            threaded = [diagnose(threads) for threads in (2, 5)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.ptp(reference.sbc_ranks) > 0.0
+        for got in threaded:
+            for field in ("theta_star", "indicators", "densities", "means", "moments",
+                          "sbc_ranks"):
+                assert np.array_equal(getattr(got, field), getattr(reference, field)), field
+
+    @staticmethod
+    def _failing_on_a_worker(monkeypatch, error):
+        """Make the grids of worker threads raise ``error``.
+
+        The calling thread's first grid waits until a worker has asked for
+        one, so a worker is sure to get a pair.
+        """
+        caller = threading.current_thread()
+        worker_started = threading.Event()
+
+        def grid(net, benchmark, x):
+            if threading.current_thread() is not caller:
+                worker_started.set()
+                raise error
+            assert worker_started.wait(30)
+            return posterior_grid(net, benchmark, x)
+
+        monkeypatch.setattr(harness, "posterior_grid", grid)
+
+    def test_degenerate_grid_on_a_worker_is_a_failed_row(self, tmp_path, monkeypatch):
+        self._failing_on_a_worker(
+            monkeypatch, DegenerateGridError("posterior density is zero on every grid cell"))
+        result = execute_run(tiny_config(tmp_path, epochs=1), 64, 0, 0.0, threads=2)
+        assert result.status == "failed"
+        assert result.error == ("DegenerateGridError: posterior density is zero "
+                                "on every grid cell")
+
+    def test_programming_error_on_a_worker_propagates(self, tmp_path, monkeypatch):
+        self._failing_on_a_worker(monkeypatch, KeyError("worker bug"))
+        with pytest.raises(KeyError, match="worker bug"):
+            execute_run(tiny_config(tmp_path, epochs=1), 64, 0, 0.0, threads=2)
 
 
 class TestEvaluateNet:

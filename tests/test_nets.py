@@ -1,6 +1,5 @@
 import json
 import math
-import multiprocessing
 import os
 import sys
 import threading
@@ -74,25 +73,13 @@ def naive_logits(net, x):
         return (h @ net.weights[-1].T + net.biases[-1]).reshape(-1)
 
 
-def caller_only(monkeypatch):
-    """Keep every block of later forwards on the calling thread."""
-    monkeypatch.setattr(nets, "_POOL", (os.getpid(), None, 1))
-
-
-def pool_in_use():
-    return nets._block_pool()[0] is not None
-
-
 class TestForwardWorkspace:
-    def test_bitwise_equal_to_naive_forward_over_interleaved_row_counts(self, monkeypatch):
+    def test_bitwise_equal_to_naive_forward_over_interleaved_row_counts(self):
         rng = np.random.default_rng(7)
         net = random_net(rng, [7, 64, 32, 48, 1])  # unequal widths share the buffers
         counts = (1, 3, 1023, 1024, 1025, 16384, 16385, 3)
         inputs = [rng.uniform(-1.0, 1.0, size=(n, 7)) for n in counts]
         expected = [naive_logits(net, x) for x in inputs]
-        for x, ref in zip(inputs, expected):
-            assert np.array_equal(net.logits(x), ref), len(x)
-        caller_only(monkeypatch)
         for x, ref in zip(inputs, expected):
             assert np.array_equal(net.logits(x), ref), len(x)
 
@@ -129,14 +116,9 @@ class TestForwardWorkspace:
         assert nets._BUFFERS.pair[0].size >= BLOCK_ROWS * wide.weights[0].shape[0]
 
 
-def _logits_and_pool(net, x):
-    got = net.logits(x)
-    return nets._POOL[0], nets._POOL[2], got
-
-
 class TestForwardThreads:
     def test_threads_sharing_one_net_get_the_serial_bits(self):
-        # more callers than cores, switching often, all on one net and one pool
+        # more callers than cores, switching often, all on one net
         rng = np.random.default_rng(11)
         net = random_net(rng, [5, 64, 64, 64, 1])
         inputs = [rng.standard_normal((n, 5)) for n in (5000, 16384, 700, 2049)]
@@ -177,43 +159,6 @@ class TestForwardThreads:
             assert setter(2) == 2
         finally:
             setter(original)
-
-    def test_without_the_blas_symbol_no_pool_and_the_same_bits(self, monkeypatch):
-        rng = np.random.default_rng(13)
-        net = random_net(rng, [4, 32, 32, 1])
-        x = rng.standard_normal((5000, 4))
-        expected = net.logits(x)
-        monkeypatch.setattr(nets, "_blas_threads_setter", lambda: None)
-        monkeypatch.setattr(nets, "_POOL", None)
-        assert np.array_equal(net.logits(x), expected)
-        assert nets._POOL == (os.getpid(), None, 1)
-
-    def test_worker_exception_reaches_the_caller(self, monkeypatch):
-        if not pool_in_use():
-            pytest.skip("one usable CPU or no OpenBLAS: no worker threads")
-        forward = nets._forward_blocks
-        caller = threading.current_thread()
-
-        def failing_on_workers(*args):
-            if threading.current_thread() is not caller:
-                raise FloatingPointError("worker failed")
-            forward(*args)
-
-        monkeypatch.setattr(nets, "_forward_blocks", failing_on_workers)
-        net = random_net(np.random.default_rng(14), [3, 8, 1])
-        with pytest.raises(FloatingPointError, match="worker failed"):
-            net.logits(np.ones((4 * BLOCK_ROWS, 3)))
-
-    def test_forked_child_builds_its_own_pool(self):
-        # a child reusing the parent's pool would wait forever for its threads
-        rng = np.random.default_rng(16)
-        net = random_net(rng, [3, 32, 32, 1])
-        x = rng.standard_normal((4 * BLOCK_ROWS, 3))
-        expected = net.logits(x)
-        with multiprocessing.get_context("fork").Pool(1) as pool:
-            child_pid, child_pool, got = pool.apply_async(_logits_and_pool, (net, x)).get(60)
-        assert np.array_equal(got, expected)
-        assert child_pid != os.getpid() and child_pool == nets._POOL[2]
 
     def test_large_matmul_in_a_pinned_scope_runs_on_one_core(self):
         # pinning scipy's OpenBLAS copy instead of numpy's leaves this at ~2

@@ -6,12 +6,12 @@ from scipy.special import expit
 from scipy.stats import norm
 
 from bnre.nets import ClassifierNet
-from bnre.ratio import (DegenerateGridError, _grid, grid_axes, posterior_grid, total_variation,
+from bnre.ratio import (DegenerateGridError, _grid, grid_axes, posterior_grid,
                         tractable_posterior_grid)
 from bnre.rng import substream
 from bnre.simulators import SlcpMarginal, generate_dataset, get_benchmark
 
-from conftest import hpd_threshold, random_net
+from conftest import hpd_threshold, random_net, total_variation
 
 
 def zero_net(input_dim):

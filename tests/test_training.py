@@ -10,7 +10,7 @@ from bnre import autodiff, nets, training
 from bnre.autodiff import Tape, backward, leaf
 from bnre.diagnostics import DiscreteToy
 from bnre.nets import ClassifierNet, OptimizerState, adam_step
-from bnre.ratio import posterior_grid, total_variation, tractable_posterior_grid
+from bnre.ratio import posterior_grid, tractable_posterior_grid
 from bnre.rng import substream, stable_seed
 from bnre.simulators import generate_dataset, get_benchmark
 from bnre.training import (TrainConfig, TrainingDiverged, balance_statistic,
@@ -18,7 +18,7 @@ from bnre.training import (TrainConfig, TrainingDiverged, balance_statistic,
                            derangement_against, epoch_index_pairs, forward_on_tape,
                            StepBuffers, TrainHistory, train)
 
-from conftest import random_net, run_fresh_python
+from conftest import random_net, run_fresh_python, total_variation
 
 
 def _cast(net, dtype):
